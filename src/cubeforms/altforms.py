@@ -7,6 +7,7 @@ import time
 from typing import NamedTuple
 
 from .qforms import Form
+from .report import report
 
 
 class AltFormPair(NamedTuple):
@@ -120,11 +121,14 @@ def invariants_W(F):
 
 
 def verify_fusion(seed=0, cases=10000, bound=50):
-    """Seeded random check that Q_fuse(A) = Q_1(A) with disc preserved."""
+    """Seeded random check that Q_fuse(A) = Q_1(A) with disc preserved, on
+    cases >= 1 random cubes."""
     import random
 
     from . import cubes
 
+    if cases < 1:
+        raise ValueError("cases must be at least 1")
     t0 = time.monotonic()
     rng = random.Random(seed)
     failure = None
@@ -138,10 +142,4 @@ def verify_fusion(seed=0, cases=10000, bound=50):
                 "actual": list(qform_F(F)),
             }
             break
-    return {
-        "suite": "fusion",
-        "status": "pass" if failure is None else "fail",
-        "cases_run": cases,
-        "first_failure": failure,
-        "elapsed_ms": int((time.monotonic() - t0) * 1000),
-    }
+    return report("fusion", t0, cases, failure)

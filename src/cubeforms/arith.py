@@ -4,7 +4,7 @@ double-Dirichlet-series coefficients, discriminant predicates, class numbers.
 All functions are pure and operate on plain Python integers.
 """
 
-from math import gcd, isqrt
+from math import gcd
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -13,7 +13,7 @@ def is_prime(n):
     """Deterministic Miller-Rabin, valid for all n < 3.3e24."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -149,19 +149,7 @@ def count_sqrt_prime_power(d, p, l):
         raise ValueError("p must be an odd prime")
     if l < 0:
         raise ValueError("exponent must be non-negative")
-    if l == 0:
-        return 1
-    if d % p ** l == 0:
-        return p ** (l // 2)
-    k = valuation(d, p)
-    if k >= l:
-        return p ** (l // 2)
-    if k % 2:
-        return 0
-    d0 = d // p ** k
-    if pow(d0 % p, (p - 1) // 2, p) == 1:
-        return 2 * p ** (k // 2)
-    return 0
+    return _count_sqrt_pp(d, p, l)
 
 
 def kronecker(D, n):

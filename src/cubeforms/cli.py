@@ -11,7 +11,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import altforms, arith, cubes, localfactors, qforms, series
+from . import altforms, arith, cubes, localfactors, series
 
 
 def _jsonable(v):
@@ -97,7 +97,8 @@ def build_parser():
     p.add_argument("--limit", type=int, default=5000)
     p = vs.add_parser("ptilde2")
     p.add_argument("--disc", type=int, required=True)
-    p.add_argument("--lmax", type=int, default=6)
+    p.add_argument("--lmax", type=int, default=6,
+                   help=f"levels checked modulo 2^(l+2), 0 to {series.LMAX_CAP}")
     p = vs.add_parser("composition")
     p.add_argument("--disc", type=int, required=True)
     p = vs.add_parser("local")

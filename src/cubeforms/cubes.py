@@ -13,6 +13,7 @@ from typing import NamedTuple
 
 from . import arith, qforms
 from .qforms import Form
+from .report import report
 
 
 class Cube(NamedTuple):
@@ -92,15 +93,19 @@ def _act_slice(A, i, g):
     return Cube(*vals)
 
 
+def _act_slots(A, gs):
+    # the i-th of the three matrices gs acts on the i-th slicing
+    for i, g in enumerate(gs, 1):
+        A = _act_slice(A, i, g)
+    return A
+
+
 def act(g1, g2, g3, A):
     """Triple action: g_i transforms the i-th slicing; the slots commute."""
     for g in (g1, g2, g3):
         if _det2(g) != 1:
             raise ValueError("slot matrices must have determinant 1")
-    A = _act_slice(A, 1, g1)
-    A = _act_slice(A, 2, g2)
-    A = _act_slice(A, 3, g3)
-    return A
+    return _act_slots(A, (g1, g2, g3))
 
 
 def borel_invariants(A):
@@ -111,11 +116,7 @@ def borel_invariants(A):
 
 def is_projective(A):
     """True when all three associated forms are primitive."""
-    for i in (1, 2, 3):
-        Q = qform(A, i)
-        if Q == (0, 0, 0) or gcd(gcd(Q.a, Q.b), Q.c) != 1:
-            return False
-    return True
+    return all(qforms.is_primitive(qform(A, i)) for i in (1, 2, 3))
 
 
 def _is_lower_triangular(M):
@@ -140,18 +141,14 @@ def borel_act(g, A):
     for M in (g.b1, g.b2, g.g3):
         if _det2(M) == 0:
             raise ValueError("singular slot matrix")
-    A = _act_slice(A, 1, g.b1)
-    A = _act_slice(A, 2, g.b2)
-    A = _act_slice(A, 3, g.g3)
-    return A
+    return _act_slots(A, g)
 
 
 def _crt_pair(residues):
     # residues: list of (value, modulus) with pairwise coprime moduli
     x, m = 0, 1
     for r, q in residues:
-        g, inv, _ = qforms._xgcd(m % q, q)
-        x = x + m * ((inv * (r - x)) % q)
+        x = x + m * ((pow(m, -1, q) * (r - x)) % q)
         m *= q
     return x % m, m
 
@@ -191,11 +188,9 @@ def construct_cube(D, m, n, x, y):
         for p, k in arith.factorize(abs(f)).items():
             q = p ** k
             if e % p:
-                _, inv, _ = qforms._xgcd(e % q, q)
-                residues.append(((-s * inv) % q, q))
+                residues.append(((-s * pow(e, -1, q)) % q, q))
             else:
-                _, inv, _ = qforms._xgcd(b % q, q)
-                residues.append(((-t * inv) % q, q))
+                residues.append(((-t * pow(b, -1, q)) % q, q))
         h, _ = _crt_pair(residues)
         g = (s + e * h) // f
         d = (t + b * h) // f
@@ -265,9 +260,12 @@ def random_borel_element(rng, bound=9):
 
 
 def verify_characters(seed=0, cases=10000, bound=9):
-    """Seeded random check that D, m, n scale by chi1, chi2, chi3."""
+    """Seeded random check that D, m, n scale by chi1, chi2, chi3 on
+    cases >= 1 random cubes."""
     import random
 
+    if cases < 1:
+        raise ValueError("cases must be at least 1")
     t0 = time.monotonic()
     rng = random.Random(seed)
     failure = None
@@ -284,13 +282,7 @@ def verify_characters(seed=0, cases=10000, bound=9):
                 "actual": [str(D1), str(m1), str(n1)],
             }
             break
-    return {
-        "suite": "characters",
-        "status": "pass" if failure is None else "fail",
-        "cases_run": cases,
-        "first_failure": failure,
-        "elapsed_ms": int((time.monotonic() - t0) * 1000),
-    }
+    return report("characters", t0, cases, failure)
 
 
 def verify_composition_law(D):
@@ -344,13 +336,5 @@ def verify_composition_law(D):
             "expected": h * h,
             "actual": len(seen_pairs),
         }
-    return {
-        "suite": "composition",
-        "status": "pass" if failure is None else "fail",
-        "cases_run": cases,
-        "first_failure": failure,
-        "elapsed_ms": int((time.monotonic() - t0) * 1000),
-        "disc": D,
-        "class_number": h,
-        "cube_classes": len(seen_pairs),
-    }
+    return report("composition", t0, cases, failure,
+                  disc=D, class_number=h, cube_classes=len(seen_pairs))

@@ -8,6 +8,7 @@ import time
 from fractions import Fraction
 
 from . import arith
+from .report import report
 
 
 class TruncatedSeries:
@@ -93,9 +94,6 @@ class TruncatedSeries:
     def shift(self, k):
         """Multiply by q^k."""
         return TruncatedSeries([Fraction(0)] * k + self.coeffs, self.order)
-
-    def truncate(self, order):
-        return TruncatedSeries(self.coeffs, order)
 
     def is_constant(self, value):
         return self.coeffs[0] == value and all(c == 0 for c in self.coeffs[1:])
@@ -231,16 +229,6 @@ def split_product_form(alpha, order):
     return num * den.inverse()
 
 
-def orbit_count_wprime(D, p, l):
-    """Local orbit count at level p^l: the p-part A(D, p^l) of the
-    congruence count, for odd p."""
-    if p == 2 or not arith.is_prime(p):
-        raise ValueError("p must be an odd prime")
-    if l < 0:
-        raise ValueError("l must be non-negative")
-    return arith.count_sqrt_mod(D, p ** l)
-
-
 def verify_local_identities(alphas=(2, Fraction(3, 2), 5, Fraction(7, 3)),
                             order=40, D_split=-23, p_split=3,
                             D_inert=5, p_inert=3):
@@ -268,10 +256,4 @@ def verify_local_identities(alphas=(2, Fraction(3, 2), 5, Fraction(7, 3)),
                 },
             }
             break
-    return {
-        "suite": "local",
-        "status": "pass" if failure is None else "fail",
-        "cases_run": cases,
-        "first_failure": failure,
-        "elapsed_ms": int((time.monotonic() - t0) * 1000),
-    }
+    return report("local", t0, cases, failure)

@@ -45,15 +45,6 @@ def act(g, Q):
     return Form(a, b, c)
 
 
-def is_reduced(Q):
-    a, b, c = Q
-    if not (-a < b <= a <= c):
-        return False
-    if (a == c or a == abs(b)) and b < 0:
-        return False
-    return True
-
-
 def reduce(Q):
     """The unique reduced representative of a positive-definite form."""
     a, b, c = Q
@@ -138,9 +129,7 @@ def compose(Q1, Q2):
     a1, b1, _ = Q1
     a2, b2, _ = _coprime_representative(Q2, a1)
     # B = b1 (mod 2 a1), B = b2 (mod 2 a2); b1, b2 share the parity of D
-    g, inv, _ = _xgcd(a1 % a2, a2)
-    assert g == 1
-    k = (inv * ((b2 - b1) // 2)) % a2
+    k = (pow(a1, -1, a2) * ((b2 - b1) // 2)) % a2
     B = b1 + 2 * a1 * k
     A = a1 * a2
     C = (B * B - D) // (4 * A)

@@ -6,8 +6,13 @@ the Shintani and double Dirichlet series.
 
 import time
 from dataclasses import dataclass
+from math import fsum
 
 from . import arith
+from .report import report
+
+# verify_ptilde2 brute-forces modulo 2^(lmax + 2), so its time doubles per step
+LMAX_CAP = 20
 
 
 def _require_odd_disc(D):
@@ -45,7 +50,9 @@ def coeffs_rhs(D, N):
 
 
 def verify_prop2(D, N):
-    """Entrywise comparison of the two coefficient vectors up to N."""
+    """Entrywise comparison of the two coefficient vectors up to N >= 1."""
+    if N < 1:
+        raise ValueError("N must be at least 1")
     t0 = time.monotonic()
     lhs = coeffs_A(D, N)
     rhs = coeffs_rhs(D, N)
@@ -58,13 +65,7 @@ def verify_prop2(D, N):
                 "actual": rhs[m - 1],
             }
             break
-    return {
-        "suite": "prop2",
-        "status": "pass" if failure is None else "fail",
-        "cases_run": N,
-        "first_failure": failure,
-        "elapsed_ms": int((time.monotonic() - t0) * 1000),
-    }
+    return report("prop2", t0, N, failure)
 
 
 # -- 2-adic lemma ------------------------------------------------------------
@@ -86,9 +87,12 @@ def _poly_trim(p):
 def verify_ptilde2(D, lmax):
     """Check the dyadic case tables by brute force, then the constant-2
     generating-function ratio symbolically (as rational functions in 2^-s).
+    Requires 0 <= lmax <= LMAX_CAP.
     """
     t0 = time.monotonic()
     _require_odd_disc(D)
+    if not 0 <= lmax <= LMAX_CAP:
+        raise ValueError(f"lmax must be in [0, {LMAX_CAP}]")
     failure = None
     cases = 0
 
@@ -121,14 +125,8 @@ def verify_ptilde2(D, lmax):
         failure = {"inputs": {"disc": D},
                    "expected": "ratio identically 2",
                    "actual": {"left": left, "right": right}}
-    return {
-        "suite": "ptilde2",
-        "status": "pass" if failure is None else "fail",
-        "cases_run": cases,
-        "first_failure": failure,
-        "elapsed_ms": int((time.monotonic() - t0) * 1000),
-        "ratio": 2 if failure is None else None,
-    }
+    return report("ptilde2", t0, cases, failure,
+                  ratio=2 if failure is None else None)
 
 
 # -- truncated double sums ---------------------------------------------------
@@ -144,38 +142,34 @@ class TruncatedDoubleSum:
     xi2: complex
 
 
-class _KahanSum:
-    """Compensated accumulation of complex doubles."""
-
-    def __init__(self):
-        self.total = 0j
-        self._c = 0j
-
-    def add(self, x):
-        y = x - self._c
-        t = self.total + y
-        self._c = (t - self.total) - y
-        self.total = t
+def _complex_fsum(terms):
+    # correctly rounded: math.fsum over the real and the imaginary parts
+    return complex(fsum(t.real for t in terms), fsum(t.imag for t in terms))
 
 
 def shintani_Z(s, w, amax, dmax):
-    """Partial sum of Z(s, w) = xi1 + xi2 over a <= amax, d <= dmax."""
+    """Partial sum of Z(s, w) = xi1 + xi2 over a <= amax, d <= dmax
+    (both cutoffs at least 1)."""
+    if amax < 1 or dmax < 1:
+        raise ValueError("amax and dmax must be at least 1")
     xi = []
     for sign in (1, -1):
-        acc = _KahanSum()
+        terms = []
         for a in range(1, amax + 1):
             for d in range(1, dmax + 1):
                 cnt = arith.count_sqrt_mod(sign * d, 4 * a)
                 if cnt:
-                    acc.add(cnt * a ** (-s) * d ** (-w))
-        xi.append(acc.total)
+                    terms.append(cnt * a ** (-s) * d ** (-w))
+        xi.append(_complex_fsum(terms))
     return TruncatedDoubleSum(s, w, amax, dmax, xi[0] + xi[1], xi[0], xi[1])
 
 
 def wmds_Z(s, w, mmax, Dset):
     """Partial sum of the quadratic double Dirichlet series over the
-    explicit discriminant list Dset and m <= mmax."""
-    acc = _KahanSum()
+    explicit discriminant list Dset and m <= mmax (mmax at least 1)."""
+    if mmax < 1:
+        raise ValueError("mmax must be at least 1")
+    terms = []
     for D in Dset:
         _require_odd_disc(D)
         for m in range(1, mmax + 1):
@@ -185,5 +179,5 @@ def wmds_Z(s, w, mmax, Dset):
             chi = arith.field_character(D, arith.m_hat(D, m))
             if chi == 0:
                 continue
-            acc.add(chi * a * m ** (-s) * abs(D) ** (-w))
-    return acc.total
+            terms.append(chi * a * m ** (-s) * abs(D) ** (-w))
+    return _complex_fsum(terms)

@@ -2,6 +2,8 @@ import csv
 import io
 import json
 
+import pytest
+
 from cubeforms import cli
 
 
@@ -76,22 +78,52 @@ def test_cube_orbits(capsys):
     assert json.loads(out)["orbits"] == 4
 
 
+REPORT_KEYS = ["suite", "status", "cases_run", "first_failure", "elapsed_ms"]
+
+
 def test_verify_subcommands_pass(capsys):
     checks = (
-        ("verify", "prop2", "--disc", "-23", "--limit", "200"),
-        ("verify", "ptilde2", "--disc", "-23"),
-        ("verify", "composition", "--disc", "-23"),
-        ("verify", "local", "--order", "15"),
-        ("verify", "fusion", "--cases", "500"),
-        ("verify", "characters", "--cases", "200"),
+        (("verify", "prop2", "--disc", "-23", "--limit", "200"), []),
+        (("verify", "ptilde2", "--disc", "-23"), ["ratio"]),
+        (("verify", "composition", "--disc", "-23"),
+         ["disc", "class_number", "cube_classes"]),
+        (("verify", "local", "--order", "15"), []),
+        (("verify", "fusion", "--cases", "500"), []),
+        (("verify", "characters", "--cases", "200"), []),
     )
-    for argv in checks:
+    for argv, extras in checks:
         code, out, _ = run(capsys, *argv)
         assert code == 0, argv
         rec = json.loads(out)
+        assert list(rec) == REPORT_KEYS + extras, argv
         assert rec["status"] == "pass"
         assert rec["first_failure"] is None
         assert rec["cases_run"] >= 1 and rec["elapsed_ms"] >= 0
+    code, out, _ = run(capsys, "--format", "csv", "verify", "composition",
+                       "--disc", "-23")
+    assert code == 0
+    header = next(csv.reader(io.StringIO(out)))
+    assert header == REPORT_KEYS + ["disc", "class_number", "cube_classes"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "prop2", "--disc", "-23", "--limit", "0"),
+    ("verify", "prop2", "--disc", "-23", "--limit", "-5"),
+    ("verify", "fusion", "--cases", "0"),
+    ("verify", "fusion", "--cases", "-3"),
+    ("verify", "characters", "--cases", "0"),
+    ("verify", "ptilde2", "--disc", "-23", "--lmax", "-1"),
+    ("verify", "ptilde2", "--disc", "-23", "--lmax", "21"),
+    ("verify", "ptilde2", "--disc", "-23", "--lmax", "40"),
+    ("zeta", "shintani", "--s", "2", "--w", "2", "--amax", "0"),
+    ("zeta", "shintani", "--s", "2", "--w", "2", "--dmax", "-1"),
+    ("zeta", "wmds", "--s", "2", "--w", "3", "--mmax", "0", "--dset", "5"),
+], ids=" ".join)
+def test_out_of_range_sizes_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "error" in err
 
 
 def test_verify_reports_are_seed_deterministic(capsys):

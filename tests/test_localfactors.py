@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from cubeforms import arith
 from cubeforms import localfactors as lf
 
 F = Fraction
@@ -132,11 +133,12 @@ def test_lfactor_building_blocks():
 
 
 def test_orbit_count_wprime():
-    assert lf.orbit_count_wprime(-23, 3, 0) == 1
-    assert lf.orbit_count_wprime(-23, 3, 1) == 2
-    assert lf.orbit_count_wprime(5, 3, 1) == 0
+    # the W' orbit count at p^l is the number of square roots of D mod p^l
+    assert arith.count_sqrt_prime_power(-23, 3, 0) == 1
+    assert arith.count_sqrt_prime_power(-23, 3, 1) == 2
+    assert arith.count_sqrt_prime_power(5, 3, 1) == 0
     with pytest.raises(ValueError):
-        lf.orbit_count_wprime(-23, 2, 1)
+        arith.count_sqrt_prime_power(-23, 2, 1)
 
 
 def test_verify_local_identities_suite():
