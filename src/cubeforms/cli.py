@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success (or verification pass), 1 verification failure,
-2 invalid input.  Data goes to stdout (JSON or CSV), diagnostics to stderr.
+2 invalid input, 3 internal error (a library postcondition failed).
+Data goes to stdout (JSON or CSV), diagnostics to stderr.
 """
 
 import argparse
@@ -11,7 +12,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import altforms, arith, cubes, localfactors, series
+from . import altforms, arith, cubes, localfactors, qforms, series
 
 
 def _jsonable(v):
@@ -72,7 +73,8 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classnum", help="class number of a negative fundamental discriminant")
-    p.add_argument("--disc", type=int, required=True)
+    p.add_argument("--disc", type=int, required=True,
+                   help=f"|disc| at most {qforms.DISC_CAP}")
 
     p = sub.add_parser("sqrtcount", help="A(d, a): solutions of x^2 = d (mod a)")
     p.add_argument("--d", type=int, required=True)
@@ -195,6 +197,9 @@ def run(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def main():

@@ -194,12 +194,19 @@ def construct_cube(D, m, n, x, y):
         h, _ = _crt_pair(residues)
         g = (s + e * h) // f
         d = (t + b * h) // f
-        assert (s + e * h) % f == 0 and (t + b * h) % f == 0
+        _postcondition((s + e * h) % f == 0 and (t + b * h) % f == 0,
+                       "f divides s + e h and t + b h")
     A = Cube(0, b, c, d, e, f, g, h)
-    assert disc(A) == D
-    assert qform(A, 1) == (m, x, s)
-    assert qform(A, 2) == (n, y, t)
+    _postcondition(disc(A) == D, "disc(A) = D")
+    _postcondition(qform(A, 1) == (m, x, s), "Q_1 = (m, x, s)")
+    _postcondition(qform(A, 2) == (n, y, t), "Q_2 = (n, y, t)")
     return A
+
+
+def _postcondition(ok, what):
+    # raised, not asserted: python -O strips assert statements
+    if not ok:
+        raise RuntimeError(f"construct_cube postcondition failed: {what}")
 
 
 def invariant_tuple(A):

@@ -6,8 +6,9 @@ base-change over adjoint L-factor ratios.
 
 import time
 from fractions import Fraction
+from functools import reduce
 
-from . import arith
+from . import arith, poly
 from .report import report
 
 
@@ -35,11 +36,7 @@ class TruncatedSeries:
     @classmethod
     def one_minus(cls, coeff, power, order):
         """1 - coeff * q^power."""
-        cs = [Fraction(0)] * (order + 1)
-        cs[0] = Fraction(1)
-        if power <= order:
-            cs[power] -= Fraction(coeff)
-        return cls(cs, order)
+        return cls(_one_minus(coeff, power), order)
 
     def _coerce(self, other):
         if isinstance(other, (int, Fraction)):
@@ -64,32 +61,12 @@ class TruncatedSeries:
         if isinstance(other, (int, Fraction)):
             return TruncatedSeries([c * other for c in self.coeffs], self.order)
         other = self._coerce(other)
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return TruncatedSeries(out, n)
+        return TruncatedSeries(poly.mul(self.coeffs, other.coeffs), self.order)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if self.coeffs[0] == 0:
-            raise ValueError("constant term must be nonzero")
-        n = self.order
-        c0 = self.coeffs[0]
-        out = [Fraction(0)] * (n + 1)
-        out[0] = 1 / c0
-        for k in range(1, n + 1):
-            acc = Fraction(0)
-            for j in range(1, k + 1):
-                acc += self.coeffs[j] * out[k - j]
-            out[k] = -acc / c0
-        return TruncatedSeries(out, n)
+        return TruncatedSeries(poly.expand([1], self.coeffs, self.order), self.order)
 
     def shift(self, k):
         """Multiply by q^k."""
@@ -105,6 +82,21 @@ class TruncatedSeries:
 
     def __repr__(self):
         return f"TruncatedSeries({self.coeffs!r}, order={self.order})"
+
+
+def _one_minus(c, k):
+    """The polynomial 1 - c q^k."""
+    p = [Fraction(1)] + [Fraction(0)] * k
+    p[k] -= Fraction(c)
+    return p
+
+
+def _ratio(num, den, order):
+    """The series prod(num)/prod(den) to `order`; num and den are lists of
+    polynomial factors, multiplied out exactly before the one expansion."""
+    return TruncatedSeries(
+        poly.expand(reduce(poly.mul, num, [1]), reduce(poly.mul, den, [1]), order),
+        order)
 
 
 def _check_alpha(alpha):
@@ -132,8 +124,7 @@ def macdonald(alpha, p, n, order=None):
     # degree-2 numerator polynomial in q
     p0 = alpha ** n * c_plus + alpha ** -n * c_minus
     p2 = -(alpha ** (n - 2) * c_plus + alpha ** (-n + 2) * c_minus)
-    num = TruncatedSeries([p0, 0, p2], order).shift(n)
-    return num * TruncatedSeries.one_minus(-1, 2, order).inverse()
+    return TruncatedSeries(poly.expand([0] * n + [p0, 0, p2], [1, 0, 1], order), order)
 
 
 def local_A_integral(D, p, alpha, lmax):
@@ -158,75 +149,53 @@ def local_A_integral(D, p, alpha, lmax):
     return total
 
 
-def _product(factors, order):
-    out = TruncatedSeries.constant(1, order)
-    for f in factors:
-        out = out * f
-    return out
+def _split_den(alpha):
+    return [_one_minus(alpha, 1)] * 2 + [_one_minus(1 / alpha, 1)] * 2
+
+
+def _inert_den(alpha):
+    return [_one_minus(alpha ** 2, 2), _one_minus(alpha ** -2, 2)]
+
+
+def _adjoint_den(alpha):
+    return [_one_minus(alpha ** 2, 2), _one_minus(1, 2), _one_minus(alpha ** -2, 2)]
 
 
 def lfactor_split(alpha, order):
     """Base change L_p(1/2, pi_E) at a split place: [(1-aq)(1-q/a)]^-2."""
-    alpha = _check_alpha(alpha)
-    den = _product([
-        TruncatedSeries.one_minus(alpha, 1, order),
-        TruncatedSeries.one_minus(alpha, 1, order),
-        TruncatedSeries.one_minus(1 / alpha, 1, order),
-        TruncatedSeries.one_minus(1 / alpha, 1, order),
-    ], order)
-    return den.inverse()
+    return _ratio([], _split_den(_check_alpha(alpha)), order)
 
 
 def lfactor_inert(alpha, order):
-    """Base change L_p(1/2, pi_E) at an inert place: the factor in q^2."""
-    alpha = _check_alpha(alpha)
-    den = _product([
-        TruncatedSeries.one_minus(alpha ** 2, 2, order),
-        TruncatedSeries.one_minus(alpha ** -2, 2, order),
-    ], order)
-    return den.inverse()
+    """Base change L_p(1/2, pi_E) at an inert place: [(1-a^2 q^2)(1-a^-2 q^2)]^-1."""
+    return _ratio([], _inert_den(_check_alpha(alpha)), order)
 
 
 def lfactor_adjoint(alpha, order):
     """L_p(1, Ad) = [(1-a^2 q^2)(1-q^2)(1-a^-2 q^2)]^-1."""
-    alpha = _check_alpha(alpha)
-    den = _product([
-        TruncatedSeries.one_minus(alpha ** 2, 2, order),
-        TruncatedSeries.one_minus(1, 2, order),
-        TruncatedSeries.one_minus(alpha ** -2, 2, order),
-    ], order)
-    return den.inverse()
+    return _ratio([], _adjoint_den(_check_alpha(alpha)), order)
 
 
 def lfactor_ratio_split(alpha, order):
     """(1-q^2)/(1-q^4) * L_p(1/2, pi_E) / L_p(1, Ad), split base change."""
-    pre = TruncatedSeries.one_minus(1, 2, order) * \
-        TruncatedSeries.one_minus(1, 4, order).inverse()
-    return pre * lfactor_split(alpha, order) * lfactor_adjoint(alpha, order).inverse()
+    alpha = _check_alpha(alpha)
+    return _ratio([_one_minus(1, 2)] + _adjoint_den(alpha),
+                  [_one_minus(1, 4)] + _split_den(alpha), order)
 
 
 def lfactor_ratio_inert(alpha, order):
     """(1+q^2)/(1-q^4) * L_p(1/2, pi_E) / L_p(1, Ad); identically 1."""
-    one_plus = TruncatedSeries([1, 0, 1], order)
-    pre = one_plus * TruncatedSeries.one_minus(1, 4, order).inverse()
-    return pre * lfactor_inert(alpha, order) * lfactor_adjoint(alpha, order).inverse()
+    alpha = _check_alpha(alpha)
+    return _ratio([[1, 0, 1]] + _adjoint_den(alpha),
+                  [_one_minus(1, 4)] + _inert_den(alpha), order)
 
 
 def split_product_form(alpha, order):
     """The intermediate closed form of the split computation:
     (1-q^2)(1+aq)(1+q/a) / [(1+q^2)(1-aq)(1-q/a)]."""
     alpha = _check_alpha(alpha)
-    num = _product([
-        TruncatedSeries.one_minus(1, 2, order),
-        TruncatedSeries.one_minus(-alpha, 1, order),
-        TruncatedSeries.one_minus(-1 / alpha, 1, order),
-    ], order)
-    den = _product([
-        TruncatedSeries([1, 0, 1], order),
-        TruncatedSeries.one_minus(alpha, 1, order),
-        TruncatedSeries.one_minus(1 / alpha, 1, order),
-    ], order)
-    return num * den.inverse()
+    return _ratio([_one_minus(1, 2), _one_minus(-alpha, 1), _one_minus(-1 / alpha, 1)],
+                  [[1, 0, 1], _one_minus(alpha, 1), _one_minus(1 / alpha, 1)], order)
 
 
 def verify_local_identities(alphas=(2, Fraction(3, 2), 5, Fraction(7, 3)),

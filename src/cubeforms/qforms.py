@@ -8,6 +8,9 @@ from typing import NamedTuple
 
 from . import arith
 
+# enumerate_class_group takes about |D|/3 steps
+DISC_CAP = 10 ** 8
+
 
 class Form(NamedTuple):
     a: int
@@ -137,9 +140,12 @@ def compose(Q1, Q2):
 
 
 def enumerate_class_group(D):
-    """All reduced primitive forms of negative fundamental discriminant D."""
+    """All reduced primitive forms of negative fundamental discriminant D,
+    |D| <= DISC_CAP."""
     if D >= 0:
         raise ValueError("only negative discriminants")
+    if -D > DISC_CAP:
+        raise ValueError(f"|D| must be at most DISC_CAP = {DISC_CAP}")
     if not arith.is_fundamental(D):
         raise ValueError("only fundamental discriminants")
     out = []

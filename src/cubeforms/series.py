@@ -5,10 +5,10 @@ the Shintani and double Dirichlet series.
 """
 
 import time
-from dataclasses import dataclass
 from math import fsum
+from typing import NamedTuple
 
-from . import arith
+from . import arith, poly
 from .report import report
 
 # verify_ptilde2 brute-forces modulo 2^(lmax + 2), so its time doubles per step
@@ -70,20 +70,6 @@ def verify_prop2(D, N):
 
 # -- 2-adic lemma ------------------------------------------------------------
 
-def _poly_mul(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for i, pi in enumerate(p):
-        for j, qj in enumerate(q):
-            out[i + j] += pi * qj
-    return out
-
-
-def _poly_trim(p):
-    while len(p) > 1 and p[-1] == 0:
-        p = p[:-1]
-    return p
-
-
 def verify_ptilde2(D, lmax):
     """Check the dyadic case tables by brute force, then the constant-2
     generating-function ratio symbolically (as rational functions in 2^-s).
@@ -114,12 +100,12 @@ def verify_ptilde2(D, lmax):
     #   lhs = a4 + tail*T/(1-T),  reference = (1-T^2)/(1-T) * 1/(1-chi*T)
     # constant-2 identity <=> lhs_num * ref_den == 2 * lhs_den * ref_num
     chi = arith.kronecker(D, 2)
-    lhs_num = _poly_trim([a4, tail - a4])        # a4(1-T) + tail*T
+    lhs_num = poly.trim([a4, tail - a4])         # a4(1-T) + tail*T
     lhs_den = [1, -1]                            # 1 - T
     ref_num = [1, 0, -1]                         # 1 - T^2
-    ref_den = _poly_mul([1, -1], [1, -chi])      # (1-T)(1-chi*T)
-    left = _poly_trim(_poly_mul(lhs_num, ref_den))
-    right = _poly_trim([2 * v for v in _poly_mul(lhs_den, ref_num)])
+    ref_den = poly.mul([1, -1], [1, -chi])       # (1-T)(1-chi*T)
+    left = poly.trim(poly.mul(lhs_num, ref_den))
+    right = poly.trim([2 * v for v in poly.mul(lhs_den, ref_num)])
     cases += 1
     if left != right and failure is None:
         failure = {"inputs": {"disc": D},
@@ -131,8 +117,7 @@ def verify_ptilde2(D, lmax):
 
 # -- truncated double sums ---------------------------------------------------
 
-@dataclass(frozen=True)
-class TruncatedDoubleSum:
+class TruncatedDoubleSum(NamedTuple):
     s: complex
     w: complex
     amax: int

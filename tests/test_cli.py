@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cubeforms import cli
+from cubeforms import cli, cubes
 
 
 def run(capsys, *argv):
@@ -57,6 +57,18 @@ def test_cube_construct_congruence_failure(capsys):
     assert code == 2
     assert out == ""
     assert "congruence" in err
+
+
+def test_construct_postcondition_failure_exits_3(capsys, monkeypatch):
+    # a wrong discriminant must surface as an internal error, also under -O
+    monkeypatch.setattr(cubes, "disc", lambda A: 0)
+    with pytest.raises(RuntimeError, match="disc"):
+        cubes.construct_cube(-23, 1, 1, 1, 1)
+    code, out, err = run(capsys, "cube", "construct", "--disc", "-23",
+                         "--m", "1", "--n", "1", "--x", "1", "--y", "1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error:") and "disc" in err
 
 
 def test_cube_invariants(capsys):
@@ -118,6 +130,7 @@ def test_verify_subcommands_pass(capsys):
     ("zeta", "shintani", "--s", "2", "--w", "2", "--amax", "0"),
     ("zeta", "shintani", "--s", "2", "--w", "2", "--dmax", "-1"),
     ("zeta", "wmds", "--s", "2", "--w", "3", "--mmax", "0", "--dset", "5"),
+    ("classnum", "--disc", "-1000000000003"),
 ], ids=" ".join)
 def test_out_of_range_sizes_rejected(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -131,6 +131,30 @@ def test_lfactor_building_blocks():
            * lf.TruncatedSeries.one_minus(alpha ** -2, 2, order))
     assert (lf.lfactor_adjoint(alpha, order) * den).is_constant(1)
 
+    # every L-factor times its docstring denominator is its docstring numerator
+    for alpha in (2, F(3, 2), F(-7, 3), F(12345, 67891)):
+        for order in (0, 1, 5, 17):
+            def om(c, k):
+                return lf.TruncatedSeries.one_minus(c, k, order)
+
+            one = lf.TruncatedSeries.constant(1, order)
+            a, b = alpha, 1 / F(alpha)
+            split_den = om(a, 1) * om(a, 1) * om(b, 1) * om(b, 1)
+            inert_den = om(a ** 2, 2) * om(b ** 2, 2)
+            adjoint_den = om(a ** 2, 2) * om(1, 2) * om(b ** 2, 2)
+            cases = [
+                (lf.lfactor_split, split_den, one),
+                (lf.lfactor_inert, inert_den, one),
+                (lf.lfactor_adjoint, adjoint_den, one),
+                (lf.lfactor_ratio_split, om(1, 4) * split_den, om(1, 2) * adjoint_den),
+                (lf.lfactor_ratio_inert, om(1, 4) * inert_den,
+                 one_plus_q2(order) * adjoint_den),
+                (lf.split_product_form, one_plus_q2(order) * om(a, 1) * om(b, 1),
+                 om(1, 2) * om(-a, 1) * om(-b, 1)),
+            ]
+            for fn, den, num in cases:
+                assert fn(alpha, order) * den == num, (fn.__name__, alpha, order)
+
 
 def test_orbit_count_wprime():
     # the W' orbit count at p^l is the number of square roots of D mod p^l

@@ -1,0 +1,57 @@
+import random
+from fractions import Fraction
+
+import pytest
+
+from cubeforms import poly
+
+
+def _random_poly(rng, length):
+    return [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(length)]
+
+
+def _value(p, x):
+    return sum(c * x ** i for i, c in enumerate(p))
+
+
+def test_mul_evaluates_to_product():
+    rng = random.Random(3)
+    for _ in range(200):
+        p = _random_poly(rng, rng.randint(1, 6))
+        q = _random_poly(rng, rng.randint(1, 6))
+        pq = poly.mul(p, q)
+        assert len(pq) == len(p) + len(q) - 1
+        for x in (Fraction(-2), Fraction(1, 3), Fraction(5, 2)):
+            assert _value(pq, x) == _value(p, x) * _value(q, x)
+
+
+def test_expand_times_denominator_is_numerator():
+    rng = random.Random(5)
+    for _ in range(300):
+        num = _random_poly(rng, rng.randint(1, 6))
+        den = _random_poly(rng, rng.randint(1, 6))
+        if den[0] == 0:
+            den[0] = Fraction(rng.choice((-3, 1, 2)))
+        n = rng.randint(0, 12)
+        series = poly.expand(num, den, n)
+        assert len(series) == n + 1
+        assert all(isinstance(c, Fraction) for c in series)
+        assert poly.mul(series, den)[:n + 1] == (num + [0] * (n + 1))[:n + 1]
+
+
+def test_expand_geometric_series():
+    assert poly.expand([1], [1, -1], 6) == [1] * 7
+    assert poly.expand([1], [2, -1], 3) == [Fraction(1, 2 ** (k + 1)) for k in range(4)]
+    assert poly.expand([3, 4], [1], 0) == [3]
+
+
+def test_expand_rejects_zero_constant_term():
+    with pytest.raises(ValueError):
+        poly.expand([1], [0, 1], 3)
+
+
+def test_trim():
+    assert poly.trim([0]) == [0]
+    assert poly.trim([0, 0, 0]) == [0]
+    assert poly.trim([1, 2, 0, 0]) == [1, 2]
+    assert poly.trim([0, 1]) == [0, 1]
