@@ -4,7 +4,7 @@ double-Dirichlet-series coefficients, discriminant predicates, class numbers.
 All functions are pure and operate on plain Python integers.
 """
 
-from math import gcd
+from math import gcd, isqrt
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -53,6 +53,17 @@ def factorize(n):
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def smallest_prime_factors(N):
+    """Table spf of length N + 1 with spf[n] the smallest prime factor of n
+    for 2 <= n <= N (spf[0] = 0, spf[1] = 1): a sieve of Eratosthenes,
+    O(N log log N). Walking n -> n // spf[n] factors every n <= N."""
+    spf = list(range(N + 1))
+    # largest prime first, so that the smallest prime dividing n writes last
+    for p in reversed([p for p in range(2, isqrt(N) + 1) if is_prime(p)]):
+        spf[p * p::p] = [p] * ((N - p * p) // p + 1)
+    return spf
 
 
 def valuation(n, p):

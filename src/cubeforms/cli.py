@@ -96,7 +96,8 @@ def build_parser():
     vs = pv.add_subparsers(dest="verify_command", required=True)
     p = vs.add_parser("prop2")
     p.add_argument("--disc", type=int, required=True)
-    p.add_argument("--limit", type=int, default=5000)
+    p.add_argument("--limit", type=int, default=5000,
+                   help=f"indices m checked, 1 to {series.N_CAP}")
     p = vs.add_parser("ptilde2")
     p.add_argument("--disc", type=int, required=True)
     p.add_argument("--lmax", type=int, default=6,
@@ -122,7 +123,8 @@ def build_parser():
     p = zs.add_parser("wmds")
     p.add_argument("--s", type=_parse_complex, required=True)
     p.add_argument("--w", type=_parse_complex, required=True)
-    p.add_argument("--mmax", type=int, default=100)
+    p.add_argument("--mmax", type=int, default=100,
+                   help=f"largest m summed, 1 to {series.N_CAP}")
     p.add_argument("--dset", type=_parse_disc_list, required=True,
                    help="comma-separated odd discriminants")
 

@@ -5,7 +5,8 @@ the Shintani and double Dirichlet series.
 """
 
 import time
-from math import fsum
+from math import fsum, isqrt
+from operator import add
 from typing import NamedTuple
 
 from . import arith, poly
@@ -14,45 +15,104 @@ from .report import report
 # verify_ptilde2 brute-forces modulo 2^(lmax + 2), so its time doubles per step
 LMAX_CAP = 20
 
+# coefficient vectors and their smallest-prime-factor table take O(N) memory
+N_CAP = 10**6
+
 
 def _require_odd_disc(D):
     if D % 2 == 0 or not arith.is_discriminant(D):
         raise ValueError("D must be an odd discriminant")
 
 
+def _require_size(name, N):
+    if not 1 <= N <= N_CAP:
+        raise ValueError(f"{name} must be in [1, {N_CAP}]")
+
+
+def _multiplicative(spf, local):
+    # [f(1), ..., f(N)] for N = len(spf) - 1 and the multiplicative f with
+    # f(p^l) = local(p)(l): f(m) = f(p^l) f(m / p^l) for p = spf[m], p^l || m
+    N = len(spf) - 1
+    f = [1] * (N + 1)
+    part = [1] * (N + 1)            # part[m] = p^l
+    for m in range(2, N + 1):
+        p = spf[m]
+        q = m // p
+        part[m] = pp = part[q] * p if spf[q] == p else p
+        if pp != m:
+            f[m] = f[pp] * f[m // pp]
+        elif q == 1:                # m = p is prime: fill in p, p^2, ... <= N
+            at = local(p)
+            pl, l = p, 1
+            while pl <= N:
+                f[pl] = at(l)
+                pl, l = pl * p, l + 1
+    return f[1:]
+
+
 def coeffs_A(D, N):
-    """[A(D, 4m) for m = 1..N]."""
+    """[A(D, 4m) for m = 1..N], 1 <= N <= N_CAP.
+
+    A(D, a) is multiplicative in the modulus a, so A(D, 4m) is A(D, 2^(l+2))
+    for 2^l || m times A(D, p^l) over the odd p^l || m; odd m carry A(D, 4).
+    Built from one smallest-prime-factor table.
+    """
     _require_odd_disc(D)
-    return [arith.count_sqrt_mod(D, 4 * m) for m in range(1, N + 1)]
+    _require_size("N", N)
+
+    def local(p):
+        shift = 2 if p == 2 else 0      # 4m has two more factors of 2 than m
+        return lambda l: arith._count_sqrt_pp(D, p, l + shift)
+
+    out = _multiplicative(arith.smallest_prime_factors(N), local)
+    out[::2] = [arith._count_sqrt_pp(D, 2, 2) * v for v in out[::2]]
+    return out
 
 
-def _chihat_a(D, N):
-    # chi_D(m^) a(D, m) for m = 1..N
-    return [arith.field_character(D, arith.m_hat(D, m)) * arith.wmds_coeff(D, m)
-            for m in range(1, N + 1)]
+def _chihat_a(D, spf):
+    # [chi_D(m^) a(D, m) for m = 1..len(spf) - 1]. Both factors are
+    # multiplicative in m; chi_D is completely multiplicative and m^ drops
+    # the primes of d0, so p | d0 contributes a(D, p^l) alone.
+    d0 = arith.squarefree_part(D)
+    chi_disc = arith.field_discriminant(D)
+
+    def local(p):
+        k = arith.valuation(D, p)
+        chi = 1 if d0 % p == 0 else arith.kronecker(chi_disc, p)
+        return lambda l: chi ** l * arith._a_pp(p, k, l)
+
+    return _multiplicative(spf, local)
 
 
 def coeffs_rhs(D, N):
-    """Coefficients of 2 zeta(s)/zeta(2s) * sum chi_D(m^) a(D, m) m^-s.
+    """Coefficients of 2 zeta(s)/zeta(2s) * sum chi_D(m^) a(D, m) m^-s,
+    1 <= N <= N_CAP.
 
     Dirichlet convolution of the squarefree indicator with the
-    character-weighted multiplicative coefficients, times 2.
+    character-weighted coefficients chi_D(m^) a(D, m), times 2. Those are
+    multiplicative in m and built from prime-power values over one
+    smallest-prime-factor table, which also gives the squarefree d.
     """
     _require_odd_disc(D)
-    chihat_a = _chihat_a(D, N)
+    _require_size("N", N)
+    spf = arith.smallest_prime_factors(N)
+    chihat_a = _chihat_a(D, spf)
+    squarefree = [True] * (N + 1)
+    for p in range(2, isqrt(N) + 1):
+        if spf[p] == p:
+            squarefree[p * p::p * p] = [False] * (N // (p * p))
     out = [0] * N
     for d in range(1, N + 1):
-        if not arith.is_squarefree(d):
-            continue
-        for m in range(d, N + 1, d):
-            out[m - 1] += chihat_a[m // d - 1]
+        if squarefree[d]:
+            # out[m - 1] += chihat_a[m // d - 1] for the multiples m of d
+            out[d - 1::d] = map(add, out[d - 1::d], chihat_a)
     return [2 * v for v in out]
 
 
 def verify_prop2(D, N):
-    """Entrywise comparison of the two coefficient vectors up to N >= 1."""
-    if N < 1:
-        raise ValueError("N must be at least 1")
+    """Entrywise comparison of the two coefficient vectors up to N,
+    1 <= N <= N_CAP."""
+    _require_size("N", N)
     t0 = time.monotonic()
     lhs = coeffs_A(D, N)
     rhs = coeffs_rhs(D, N)
@@ -151,18 +211,13 @@ def shintani_Z(s, w, amax, dmax):
 
 def wmds_Z(s, w, mmax, Dset):
     """Partial sum of the quadratic double Dirichlet series over the
-    explicit discriminant list Dset and m <= mmax (mmax at least 1)."""
-    if mmax < 1:
-        raise ValueError("mmax must be at least 1")
+    explicit discriminant list Dset and m <= mmax (1 <= mmax <= N_CAP)."""
+    _require_size("mmax", mmax)
+    spf = arith.smallest_prime_factors(mmax)
     terms = []
     for D in Dset:
         _require_odd_disc(D)
-        for m in range(1, mmax + 1):
-            a = arith.wmds_coeff(D, m)
-            if a == 0:
-                continue
-            chi = arith.field_character(D, arith.m_hat(D, m))
-            if chi == 0:
-                continue
-            terms.append(chi * a * m ** (-s) * abs(D) ** (-w))
+        for m, chi_a in enumerate(_chihat_a(D, spf), start=1):
+            if chi_a:
+                terms.append(chi_a * m ** (-s) * abs(D) ** (-w))
     return _complex_fsum(terms)

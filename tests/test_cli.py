@@ -121,6 +121,7 @@ def test_verify_subcommands_pass(capsys):
 @pytest.mark.parametrize("argv", [
     ("verify", "prop2", "--disc", "-23", "--limit", "0"),
     ("verify", "prop2", "--disc", "-23", "--limit", "-5"),
+    ("verify", "prop2", "--disc", "-23", "--limit", "1000001"),
     ("verify", "fusion", "--cases", "0"),
     ("verify", "fusion", "--cases", "-3"),
     ("verify", "characters", "--cases", "0"),
@@ -130,6 +131,7 @@ def test_verify_subcommands_pass(capsys):
     ("zeta", "shintani", "--s", "2", "--w", "2", "--amax", "0"),
     ("zeta", "shintani", "--s", "2", "--w", "2", "--dmax", "-1"),
     ("zeta", "wmds", "--s", "2", "--w", "3", "--mmax", "0", "--dset", "5"),
+    ("zeta", "wmds", "--s", "2", "--w", "3", "--mmax", "1000001", "--dset", "5"),
     ("classnum", "--disc", "-1000000000003"),
 ], ids=" ".join)
 def test_out_of_range_sizes_rejected(capsys, argv):

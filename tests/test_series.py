@@ -1,6 +1,13 @@
+from math import fsum
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubeforms import arith, series
+
+NON_FUNDAMENTAL = (45, 117, -27, -75, 225)
+DISCS = (-3, 5, -23, 1105, -3003) + NON_FUNDAMENTAL    # all odd
 
 
 def test_coeffs_A_examples():
@@ -11,6 +18,39 @@ def test_coeffs_A_examples():
         series.coeffs_A(-8, 10)
     with pytest.raises(ValueError):
         series.coeffs_A(-6, 10)  # not a discriminant at all
+    for bad in (0, series.N_CAP + 1):
+        with pytest.raises(ValueError, match="N must be in"):
+            series.coeffs_A(-23, bad)
+        with pytest.raises(ValueError, match="N must be in"):
+            series.coeffs_rhs(-23, bad)
+
+
+def test_coeffs_A_matches_count_sqrt_mod():
+    # table sizes include a prime (97) and a power of 2 (128)
+    sizes = (1, 2, 3, 4, 16, 97, 128, 2000)
+    for D in DISCS:
+        want = [arith.count_sqrt_mod(D, 4 * m) for m in range(1, max(sizes) + 1)]
+        assert want[:300] == [arith.count_sqrt_brute(D, 4 * m) for m in range(1, 301)]
+        for N in sizes:
+            assert series.coeffs_A(D, N) == want[:N], (D, N)
+
+
+SPF_SIZE = 20000
+SPF = arith.smallest_prime_factors(SPF_SIZE)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, SPF_SIZE))
+def test_smallest_prime_factor_table_factors(n):
+    import sympy
+
+    table = {}
+    m = n
+    while m > 1:
+        p = SPF[m]
+        table[p] = table.get(p, 0) + 1
+        m //= p
+    assert table == arith.factorize(n) == sympy.factorint(n)
 
 
 def test_coeffs_rhs_examples():
@@ -21,7 +61,7 @@ def test_coeffs_rhs_examples():
 
 
 def test_coeffs_rhs_is_squarefree_convolution():
-    for D in (-23, 5, 45):
+    for D in (-23, 5) + NON_FUNDAMENTAL:
         N = 200
         rhs = series.coeffs_rhs(D, N)
         chihat = [arith.field_character(D, arith.m_hat(D, e)) * arith.wmds_coeff(D, e)
@@ -93,3 +133,19 @@ def test_wmds_Z_examples():
     assert series.wmds_Z(2.0, 3.0, 100, []) == 0
     with pytest.raises(ValueError):
         series.wmds_Z(2.0, 3.0, 10, [8])
+    with pytest.raises(ValueError, match="mmax must be in"):
+        series.wmds_Z(2.0, 3.0, series.N_CAP + 1, [5])
+
+
+def test_wmds_Z_matches_per_m_sum():
+    # the per-m definition, summed the same way, gives the same floats
+    s, w, mmax, Dset = 1.5 + 2j, 0.5 - 1j, 300, [5, -23, 45, -27]
+    terms = []
+    for D in Dset:
+        for m in range(1, mmax + 1):
+            chi = arith.field_character(D, arith.m_hat(D, m))
+            a = arith.wmds_coeff(D, m)
+            if chi * a:
+                terms.append(chi * a * m ** (-s) * abs(D) ** (-w))
+    want = complex(fsum(t.real for t in terms), fsum(t.imag for t in terms))
+    assert series.wmds_Z(s, w, mmax, Dset) == want
