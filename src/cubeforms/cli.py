@@ -105,7 +105,8 @@ def build_parser():
     p = vs.add_parser("composition")
     p.add_argument("--disc", type=int, required=True)
     p = vs.add_parser("local")
-    p.add_argument("--order", type=int, default=40)
+    p.add_argument("--order", type=int, default=40,
+                   help=f"series truncation order, 0 to {localfactors.ORDER_CAP}")
     p = vs.add_parser("fusion")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=int, default=10000)
@@ -118,8 +119,10 @@ def build_parser():
     p = zs.add_parser("shintani")
     p.add_argument("--s", type=_parse_complex, required=True)
     p.add_argument("--w", type=_parse_complex, required=True)
-    p.add_argument("--amax", type=int, default=100)
-    p.add_argument("--dmax", type=int, default=100)
+    p.add_argument("--amax", type=int, default=100,
+                   help=f"at least 1, amax * dmax at most {series.SHINTANI_CAP}")
+    p.add_argument("--dmax", type=int, default=100,
+                   help=f"at least 1, amax * dmax at most {series.SHINTANI_CAP}")
     p = zs.add_parser("wmds")
     p.add_argument("--s", type=_parse_complex, required=True)
     p.add_argument("--w", type=_parse_complex, required=True)

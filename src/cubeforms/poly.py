@@ -3,6 +3,7 @@ products, trimming, and expansion of a quotient as a truncated power series.
 """
 
 from fractions import Fraction
+from math import lcm
 
 
 def mul(p, q):
@@ -27,14 +28,24 @@ def expand(num, den, order):
     Fractions. Requires den[0] != 0."""
     if den[0] == 0:
         raise ValueError("constant term of the denominator must be nonzero")
-    c0 = Fraction(den[0])
-    tail = [(j, d) for j, d in enumerate(den[1:order + 1], 1) if d]
-    out = []
+    # one common multiple of every denominator makes num and den integral
+    num = [Fraction(c) for c in num[:order + 1]]
+    den = [Fraction(c) for c in den]
+    scale = lcm(*(c.denominator for c in num + den))
+    num = [c.numerator * (scale // c.denominator) for c in num]
+    d0, *rest = [c.numerator * (scale // c.denominator) for c in den]
+    # y_k = d0^(k+1) * (coefficient k) is an integer:
+    #   y_k = d0^k num_k - sum_{j >= 1} d0^(j-1) den_j y_(k-j)
+    tail = [(j, d * d0 ** (j - 1)) for j, d in enumerate(rest[:order], 1) if d]
+    y, out = [], []
+    power = 1
     for k in range(order + 1):
-        acc = Fraction(num[k]) if k < len(num) else Fraction(0)
-        for j, d in tail:
+        acc = num[k] * power if k < len(num) else 0
+        for j, w in tail:
             if j > k:
                 break
-            acc -= d * out[k - j]
-        out.append(acc / c0)
+            acc -= w * y[k - j]
+        y.append(acc)
+        power *= d0
+        out.append(Fraction(acc, power))
     return out

@@ -130,6 +130,10 @@ def test_verify_subcommands_pass(capsys):
     ("verify", "ptilde2", "--disc", "-23", "--lmax", "40"),
     ("zeta", "shintani", "--s", "2", "--w", "2", "--amax", "0"),
     ("zeta", "shintani", "--s", "2", "--w", "2", "--dmax", "-1"),
+    ("zeta", "shintani", "--s", "2", "--w", "2", "--amax", "100000", "--dmax", "100000"),
+    ("zeta", "shintani", "--s", "2", "--w", "2", "--amax", "1000001", "--dmax", "1"),
+    ("verify", "local", "--order", "-1"),
+    ("verify", "local", "--order", "1001"),
     ("zeta", "wmds", "--s", "2", "--w", "3", "--mmax", "0", "--dset", "5"),
     ("zeta", "wmds", "--s", "2", "--w", "3", "--mmax", "1000001", "--dset", "5"),
     ("classnum", "--disc", "-1000000000003"),

@@ -98,6 +98,26 @@ def test_local_A_integral_cases():
     assert split.coeffs[0] == 1
 
 
+def _integral_by_terms(D, p, alpha, lmax):
+    # the defining sum, one Macdonald series per level l <= lmax, each
+    # weighted by the congruence count A(D, p^l)
+    total = lf.TruncatedSeries.constant(0, lmax)
+    for l in range(lmax + 1):
+        count = arith.count_sqrt_prime_power(D, p, l)
+        if count:
+            total = total + count * lf.macdonald(alpha, p, l, order=lmax)
+    return total
+
+
+def test_local_A_integral_matches_term_by_term_sum():
+    places = [(-23, 3), (-23, 13), (5, 3), (-7, 3)]   # split, split, inert, inert
+    for D, p in places:
+        for alpha in (2, F(3, 2), F(-7, 3), F(12345, 67891)):
+            for lmax in range(31):
+                assert lf.local_A_integral(D, p, alpha, lmax) == \
+                    _integral_by_terms(D, p, alpha, lmax), (D, p, alpha, lmax)
+
+
 def test_local_A_integral_rejections():
     with pytest.raises(ValueError):
         lf.local_A_integral(-23, 2, 2, 5)     # p = 2
@@ -107,6 +127,9 @@ def test_local_A_integral_rejections():
         lf.local_A_integral(-15, 3, 2, 5)     # ramified
     with pytest.raises(ValueError):
         lf.local_A_integral(-23, 5, 1, 5)     # alpha^2 = 1
+    for D in (-23, 5):
+        with pytest.raises(ValueError):
+            lf.local_A_integral(D, 3, 2, -1)  # negative order
 
 
 def test_lfactor_ratios():
@@ -166,7 +189,11 @@ def test_orbit_count_wprime():
 
 
 def test_verify_local_identities_suite():
-    rep = lf.verify_local_identities(order=25)
-    assert rep["status"] == "pass"
-    assert rep["cases_run"] == 4
-    assert rep["first_failure"] is None
+    for order in (0, 25):
+        rep = lf.verify_local_identities(order=order)
+        assert rep["status"] == "pass"
+        assert rep["cases_run"] == 4
+        assert rep["first_failure"] is None
+    for order in (-1, lf.ORDER_CAP + 1):
+        with pytest.raises(ValueError, match=f"order must be in \\[0, {lf.ORDER_CAP}\\]"):
+            lf.verify_local_identities(order=order)

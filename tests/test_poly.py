@@ -27,20 +27,28 @@ def test_mul_evaluates_to_product():
 
 def test_expand_times_denominator_is_numerator():
     rng = random.Random(5)
-    for _ in range(300):
+    big = Fraction(3**40 + 7, 2**61 - 1)
+    for i in range(400):
         num = _random_poly(rng, rng.randint(1, 6))
         den = _random_poly(rng, rng.randint(1, 6))
-        if den[0] == 0:
-            den[0] = Fraction(rng.choice((-3, 1, 2)))
+        if i % 2:
+            # int and Fraction coefficients mixed
+            num = [int(c) if c.denominator == 1 else c for c in num]
+            den = [rng.randint(-9, 9) if j % 2 else c for j, c in enumerate(den)]
+        if i % 5 == 0:
+            den[-1] *= big
+        den[0] = rng.choice((-3, Fraction(7, 5), big, -big, 1, 2, den[0] or 1))
         n = rng.randint(0, 12)
         series = poly.expand(num, den, n)
         assert len(series) == n + 1
-        assert all(isinstance(c, Fraction) for c in series)
+        assert all(type(c) is Fraction for c in series)
         assert poly.mul(series, den)[:n + 1] == (num + [0] * (n + 1))[:n + 1]
 
 
 def test_expand_geometric_series():
     assert poly.expand([1], [1, -1], 6) == [1] * 7
+    assert all(type(c) is Fraction for c in poly.expand([1], [1, -1], 6))
+    assert poly.expand([1], [1, -1], -1) == []
     assert poly.expand([1], [2, -1], 3) == [Fraction(1, 2 ** (k + 1)) for k in range(4)]
     assert poly.expand([3, 4], [1], 0) == [3]
 

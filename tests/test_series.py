@@ -111,6 +111,12 @@ def test_shintani_Z_monotone_in_cutoffs():
         prev = z.value.real
 
 
+def test_shintani_Z_size_cap():
+    for amax, dmax in ((series.SHINTANI_CAP + 1, 1), (1001, 1000), (10**5, 10**5)):
+        with pytest.raises(ValueError, match="amax \\* dmax must be at most"):
+            series.shintani_Z(2.0, 2.0, amax, dmax)
+
+
 def test_shintani_restricted_slice_matches_convolution():
     # for d = 1 mod 4 each inner a-sum can be rewritten through the
     # squarefree-convolution coefficients; the two paths must agree
@@ -135,6 +141,15 @@ def test_wmds_Z_examples():
         series.wmds_Z(2.0, 3.0, 10, [8])
     with pytest.raises(ValueError, match="mmax must be in"):
         series.wmds_Z(2.0, 3.0, series.N_CAP + 1, [5])
+
+
+def test_wmds_Z_checks_every_disc_before_the_sieve(monkeypatch):
+    def sieve(N):
+        raise AssertionError("sieve built before Dset was checked")
+
+    monkeypatch.setattr(arith, "smallest_prime_factors", sieve)
+    with pytest.raises(ValueError, match="odd discriminant"):
+        series.wmds_Z(2.0, 3.0, series.N_CAP, [5, 8])
 
 
 def test_wmds_Z_matches_per_m_sum():
