@@ -41,11 +41,6 @@ def _emit(record, fmt):
         sys.stdout.write(buf.getvalue())
 
 
-def _report_exit(report, fmt):
-    _emit(report, fmt)
-    return 0 if report["status"] == "pass" else 1
-
-
 def _parse_cube(text):
     parts = text.split(",")
     if len(parts) != 8:
@@ -64,7 +59,23 @@ def _parse_disc_list(text):
     return [int(p) for p in text.split(",") if p.strip()]
 
 
+def _construct(args):
+    A = cubes.construct_cube(args.disc, args.m, args.n, args.x, args.y)
+    return {"cube": list(A),
+            "Q1": list(cubes.qform(A, 1)),
+            "Q2": list(cubes.qform(A, 2)),
+            "Q3": list(cubes.qform(A, 3)),
+            "disc": cubes.disc(A)}
+
+
+def _invariants(args):
+    t = cubes.invariant_tuple(args.cube)
+    return {"disc": t.D, "m": t.m, "n": t.n, "x": t.x, "y": t.y}
+
+
 def build_parser():
+    """The command tree. Each leaf parser sets `run`, its handler: it takes
+    the parsed args and returns the record to print."""
     ap = argparse.ArgumentParser(
         prog="cubeforms",
         description="Exact computations on quadratic forms, 2x2x2 cubes, "
@@ -75,22 +86,29 @@ def build_parser():
     p = sub.add_parser("classnum", help="class number of a negative fundamental discriminant")
     p.add_argument("--disc", type=int, required=True,
                    help=f"|disc| at most {qforms.DISC_CAP}")
+    p.set_defaults(run=lambda a: {"disc": a.disc, "h": arith.class_number(a.disc)})
 
     p = sub.add_parser("sqrtcount", help="A(d, a): solutions of x^2 = d (mod a)")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--mod", type=int, required=True)
+    p.set_defaults(run=lambda a: {"d": a.d, "mod": a.mod,
+                                  "count": arith.count_sqrt_mod(a.d, a.mod)})
 
     pc = sub.add_parser("cube", help="cube operations")
     cs = pc.add_subparsers(dest="cube_command", required=True)
     p = cs.add_parser("construct")
     for flag in ("--disc", "--m", "--n", "--x", "--y"):
         p.add_argument(flag, type=int, required=True)
+    p.set_defaults(run=_construct)
     p = cs.add_parser("invariants")
     p.add_argument("--cube", type=_parse_cube, required=True,
                    help="a,b,c,d,e,f,g,h (front face row-major, then back face)")
+    p.set_defaults(run=_invariants)
     p = cs.add_parser("orbits")
     for flag in ("--disc", "--m", "--n"):
         p.add_argument(flag, type=int, required=True)
+    p.set_defaults(run=lambda a: {"disc": a.disc, "m": a.m, "n": a.n,
+                                  "orbits": cubes.count_orbits(a.disc, a.m, a.n)})
 
     pv = sub.add_parser("verify", help="verification suites")
     vs = pv.add_subparsers(dest="verify_command", required=True)
@@ -98,21 +116,25 @@ def build_parser():
     p.add_argument("--disc", type=int, required=True)
     p.add_argument("--limit", type=int, default=5000,
                    help=f"indices m checked, 1 to {series.N_CAP}")
+    p.set_defaults(run=lambda a: series.verify_prop2(a.disc, a.limit))
     p = vs.add_parser("ptilde2")
     p.add_argument("--disc", type=int, required=True)
     p.add_argument("--lmax", type=int, default=6,
                    help=f"levels checked modulo 2^(l+2), 0 to {series.LMAX_CAP}")
+    p.set_defaults(run=lambda a: series.verify_ptilde2(a.disc, a.lmax))
     p = vs.add_parser("composition")
     p.add_argument("--disc", type=int, required=True)
+    p.set_defaults(run=lambda a: cubes.verify_composition_law(a.disc))
     p = vs.add_parser("local")
     p.add_argument("--order", type=int, default=40,
                    help=f"series truncation order, 0 to {localfactors.ORDER_CAP}")
-    p = vs.add_parser("fusion")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=10000)
-    p = vs.add_parser("characters")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=10000)
+    p.set_defaults(run=lambda a: localfactors.verify_local_identities(order=a.order))
+    for name, suite in (("fusion", altforms.verify_fusion),
+                        ("characters", cubes.verify_characters)):
+        p = vs.add_parser(name)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--cases", type=int, default=10000)
+        p.set_defaults(run=lambda a, suite=suite: suite(seed=a.seed, cases=a.cases))
 
     pz = sub.add_parser("zeta", help="truncated double-sum evaluation")
     zs = pz.add_subparsers(dest="zeta_command", required=True)
@@ -123,6 +145,7 @@ def build_parser():
                    help=f"at least 1, amax * dmax at most {series.SHINTANI_CAP}")
     p.add_argument("--dmax", type=int, default=100,
                    help=f"at least 1, amax * dmax at most {series.SHINTANI_CAP}")
+    p.set_defaults(run=lambda a: series.shintani_Z(a.s, a.w, a.amax, a.dmax)._asdict())
     p = zs.add_parser("wmds")
     p.add_argument("--s", type=_parse_complex, required=True)
     p.add_argument("--w", type=_parse_complex, required=True)
@@ -130,65 +153,10 @@ def build_parser():
                    help=f"largest m summed, 1 to {series.N_CAP}")
     p.add_argument("--dset", type=_parse_disc_list, required=True,
                    help="comma-separated odd discriminants")
+    p.set_defaults(run=lambda a: {"s": a.s, "w": a.w, "mmax": a.mmax, "dset": a.dset,
+                                  "value": series.wmds_Z(a.s, a.w, a.mmax, a.dset)})
 
     return ap
-
-
-def _dispatch(args):
-    fmt = args.format
-    if args.command == "classnum":
-        h = arith.class_number(args.disc)
-        _emit({"disc": args.disc, "h": h}, fmt)
-        return 0
-    if args.command == "sqrtcount":
-        _emit({"d": args.d, "mod": args.mod,
-               "count": arith.count_sqrt_mod(args.d, args.mod)}, fmt)
-        return 0
-    if args.command == "cube":
-        if args.cube_command == "construct":
-            A = cubes.construct_cube(args.disc, args.m, args.n, args.x, args.y)
-            _emit({"cube": list(A),
-                   "Q1": list(cubes.qform(A, 1)),
-                   "Q2": list(cubes.qform(A, 2)),
-                   "Q3": list(cubes.qform(A, 3)),
-                   "disc": cubes.disc(A)}, fmt)
-            return 0
-        if args.cube_command == "invariants":
-            t = cubes.invariant_tuple(args.cube)
-            _emit({"disc": t.D, "m": t.m, "n": t.n, "x": t.x, "y": t.y}, fmt)
-            return 0
-        if args.cube_command == "orbits":
-            B = cubes.count_orbits(args.disc, args.m, args.n)
-            _emit({"disc": args.disc, "m": args.m, "n": args.n, "orbits": B}, fmt)
-            return 0
-    if args.command == "verify":
-        if args.verify_command == "prop2":
-            return _report_exit(series.verify_prop2(args.disc, args.limit), fmt)
-        if args.verify_command == "ptilde2":
-            return _report_exit(series.verify_ptilde2(args.disc, args.lmax), fmt)
-        if args.verify_command == "composition":
-            return _report_exit(cubes.verify_composition_law(args.disc), fmt)
-        if args.verify_command == "local":
-            return _report_exit(
-                localfactors.verify_local_identities(order=args.order), fmt)
-        if args.verify_command == "fusion":
-            return _report_exit(
-                altforms.verify_fusion(seed=args.seed, cases=args.cases), fmt)
-        if args.verify_command == "characters":
-            return _report_exit(
-                cubes.verify_characters(seed=args.seed, cases=args.cases), fmt)
-    if args.command == "zeta":
-        if args.zeta_command == "shintani":
-            z = series.shintani_Z(args.s, args.w, args.amax, args.dmax)
-            _emit({"s": z.s, "w": z.w, "amax": z.amax, "dmax": z.dmax,
-                   "value": z.value, "xi1": z.xi1, "xi2": z.xi2}, fmt)
-            return 0
-        if args.zeta_command == "wmds":
-            v = series.wmds_Z(args.s, args.w, args.mmax, args.dset)
-            _emit({"s": args.s, "w": args.w, "mmax": args.mmax,
-                   "dset": args.dset, "value": v}, fmt)
-            return 0
-    raise AssertionError("unhandled command")
 
 
 def run(argv=None):
@@ -198,13 +166,16 @@ def run(argv=None):
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        return _dispatch(args)
+        record = args.run(args)
+        _emit(record, args.format)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    # only suite reports carry a status
+    return 1 if record.get("status") == "fail" else 0
 
 
 def main():

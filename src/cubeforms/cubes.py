@@ -225,13 +225,13 @@ def count_orbits(D, m, n):
         raise ValueError("m and n must be nonzero")
     if not arith.is_discriminant(D):
         raise ValueError("D must be a discriminant")
-    D1 = 1
-    for p, e in arith.factorize(abs(D)).items():
-        D1 *= p ** (e // 2)
+    # d ranges over the common divisors of m, n and D1, where D = D0 D1^2
+    # with D0 squarefree; d | D1 exactly when d^2 | D, so D is not factored
     total = 0
-    for d in _divisors(gcd(gcd(D1, m), n)):
-        total += d * arith.count_sqrt_mod(D // (d * d), abs(4 * m // d)) \
-                   * arith.count_sqrt_mod(D // (d * d), abs(4 * n // d))
+    for d in _divisors(gcd(m, n)):
+        if D % (d * d) == 0:
+            total += d * arith.count_sqrt_mod(D // (d * d), abs(4 * m // d)) \
+                       * arith.count_sqrt_mod(D // (d * d), abs(4 * n // d))
     return Fraction(total, 4)
 
 

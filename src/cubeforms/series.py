@@ -18,8 +18,8 @@ LMAX_CAP = 20
 # coefficient vectors and their smallest-prime-factor table take O(N) memory
 N_CAP = 10**6
 
-# shintani_Z counts square roots modulo 4a twice per pair (a, d), factoring 4a
-# each time: at the cap about 7 s for 1000 x 1000 and 25 s for amax = 10^6
+# shintani_Z factors 4a once per a, then counts square roots modulo 4a twice
+# per pair (a, d): at the cap about 3 s for 1000 x 1000 and 16 s for amax = 10^6
 SHINTANI_CAP = 10**6
 
 
@@ -203,16 +203,17 @@ def shintani_Z(s, w, amax, dmax):
         raise ValueError("amax and dmax must be at least 1")
     if amax * dmax > SHINTANI_CAP:
         raise ValueError(f"amax * dmax must be at most {SHINTANI_CAP}")
-    xi = []
-    for sign in (1, -1):
-        terms = []
-        for a in range(1, amax + 1):
-            for d in range(1, dmax + 1):
-                cnt = arith.count_sqrt_mod(sign * d, 4 * a)
+    # fsum is correctly rounded, so the order of the terms does not matter
+    terms = {1: [], -1: []}
+    for a in range(1, amax + 1):
+        factors = arith.factorize(4 * a)
+        for d in range(1, dmax + 1):
+            for sign, out in terms.items():
+                cnt = arith._count_sqrt_factored(sign * d, factors)
                 if cnt:
-                    terms.append(cnt * a ** (-s) * d ** (-w))
-        xi.append(_complex_fsum(terms))
-    return TruncatedDoubleSum(s, w, amax, dmax, xi[0] + xi[1], xi[0], xi[1])
+                    out.append(cnt * a ** (-s) * d ** (-w))
+    xi1, xi2 = _complex_fsum(terms[1]), _complex_fsum(terms[-1])
+    return TruncatedDoubleSum(s, w, amax, dmax, xi1 + xi2, xi1, xi2)
 
 
 def wmds_Z(s, w, mmax, Dset):

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from cubeforms import cli, cubes
+from cubeforms import arith, cli, cubes
+
+REPORT_KEYS = ["suite", "status", "cases_run", "first_failure", "elapsed_ms"]
 
 
 def run(capsys, *argv):
@@ -32,14 +34,63 @@ def test_sqrtcount(capsys):
     assert json.loads(out)["count"] == 2
 
 
-def test_csv_and_json_agree(capsys):
-    code, jout, _ = run(capsys, "classnum", "--disc", "-23")
-    assert code == 0
-    code, cout, _ = run(capsys, "--format", "csv", "classnum", "--disc", "-23")
-    assert code == 0
-    row = next(csv.DictReader(io.StringIO(cout)))
+# one valid argv per leaf command
+LEAVES = (
+    ("classnum", "--disc", "-23"),
+    ("sqrtcount", "--d", "5", "--mod", "4"),
+    ("cube", "construct", "--disc", "-23", "--m", "1", "--n", "1", "--x", "1", "--y", "1"),
+    ("cube", "invariants", "--cube", "0,1,1,-6,1,-1,-6,0"),
+    ("cube", "orbits", "--disc", "-23", "--m", "2", "--n", "3"),
+    ("verify", "prop2", "--disc", "-23", "--limit", "200"),
+    ("verify", "ptilde2", "--disc", "-23"),
+    ("verify", "composition", "--disc", "-23"),
+    ("verify", "local", "--order", "15"),
+    ("verify", "fusion", "--cases", "50"),
+    ("verify", "characters", "--cases", "50"),
+    ("zeta", "shintani", "--s", "1.5+2j", "--w", "2", "--amax", "5", "--dmax", "7"),
+    ("zeta", "wmds", "--s", "2", "--w", "0.5-1j", "--mmax", "10", "--dset", "5,-23"),
+)
+
+
+def _csv_cell(cell):
+    # CSV prints None as an empty cell, nested values as JSON, the rest with str()
+    if cell == "":
+        return None
+    try:
+        return json.loads(cell)
+    except ValueError:
+        return cell
+
+
+def assert_csv_and_json_agree(capsys, argv, want_code):
+    code, jout, _ = run(capsys, *argv)
+    assert code == want_code, argv
+    code, cout, _ = run(capsys, "--format", "csv", *argv)
+    assert code == want_code, argv
+    header, row = csv.reader(io.StringIO(cout))
+    crec = {k: _csv_cell(v) for k, v in zip(header, row)}
     jrec = json.loads(jout)
-    assert {k: int(v) for k, v in row.items()} == jrec
+    assert list(crec) == list(jrec), argv
+    timed = ("elapsed_ms",)    # the two runs are timed separately
+    assert ({k: v for k, v in crec.items() if k not in timed}
+            == {k: v for k, v in jrec.items() if k not in timed}), argv
+    return jrec
+
+
+def test_csv_and_json_agree(capsys):
+    for argv in LEAVES:
+        assert_csv_and_json_agree(capsys, argv, 0)
+
+
+def test_failing_suite_exits_1_with_its_report(capsys, monkeypatch):
+    real = cubes.characters
+    monkeypatch.setattr(cubes, "characters", lambda g: tuple(2 * c for c in real(g)))
+    rec = assert_csv_and_json_agree(capsys, ("verify", "characters", "--cases", "5"), 1)
+    assert list(rec) == REPORT_KEYS
+    assert rec["status"] == "fail"
+    failure = rec["first_failure"]
+    assert list(failure) == ["inputs", "expected", "actual"]
+    assert failure["expected"] != failure["actual"]
 
 
 def test_cube_construct(capsys):
@@ -90,7 +141,21 @@ def test_cube_orbits(capsys):
     assert json.loads(out)["orbits"] == 4
 
 
-REPORT_KEYS = ["suite", "status", "cases_run", "first_failure", "elapsed_ms"]
+def test_cube_orbits_does_not_factor_the_discriminant(capsys, monkeypatch):
+    # 10^18 + 3 is prime: trial division of D would not finish
+    real = arith.factorize
+
+    def factorize(n):
+        if n > 10**12:
+            raise AssertionError(f"factorize({n}) called")
+        return real(n)
+
+    monkeypatch.setattr(arith, "factorize", factorize)
+    D = -(10**18 + 3)
+    assert cubes.count_orbits(D, 1, 1) == 1
+    code, out, _ = run(capsys, "cube", "orbits", "--disc", str(D), "--m", "1", "--n", "1")
+    assert code == 0
+    assert json.loads(out) == {"disc": D, "m": 1, "n": 1, "orbits": 1}
 
 
 def test_verify_subcommands_pass(capsys):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -215,6 +216,21 @@ def test_count_orbits_matches_enumeration():
                 assert count == len(tuples)
                 assert count == Fraction(arith.count_sqrt_mod(D, abs(4 * m))
                                          * arith.count_sqrt_mod(D, abs(4 * n)), 4)
+
+
+def test_count_orbits_matches_D1_formula():
+    # reference: the sum over d | gcd(D1, m, n) for D = D0 D1^2, D0 squarefree
+    for D in (-12, -27, -48, -75, -108, 45, 72, 225, -3 * 4**3 * 5**2):
+        D1 = 1
+        for p, e in arith.factorize(abs(D)).items():
+            D1 *= p ** (e // 2)
+        for m in (-12, -6, 1, 2, 3, 5, 10, 20, 60):
+            for n in (-15, -4, 1, 2, 6, 30, 40):
+                g = gcd(gcd(D1, m), n)
+                want = sum(d * arith.count_sqrt_mod(D // (d * d), abs(4 * m // d))
+                           * arith.count_sqrt_mod(D // (d * d), abs(4 * n // d))
+                           for d in range(1, abs(g) + 1) if g % d == 0)
+                assert cubes.count_orbits(D, m, n) == Fraction(want, 4)
 
 
 def test_verify_composition_law():

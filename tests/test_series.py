@@ -111,6 +111,23 @@ def test_shintani_Z_monotone_in_cutoffs():
         prev = z.value.real
 
 
+def test_shintani_Z_matches_per_pair_count():
+    # reference: one count_sqrt_mod per (sign, a, d), factoring 4a every time
+    for s, w, amax, dmax in ((2.0, 2.0, 1, 1), (2.0, 3.0, 37, 23),
+                             (complex(1.5, 2.0), complex(0.7, -1.3), 30, 41)):
+        xi = []
+        for sign in (1, -1):
+            terms = []
+            for a in range(1, amax + 1):
+                for d in range(1, dmax + 1):
+                    cnt = arith.count_sqrt_mod(sign * d, 4 * a)
+                    if cnt:
+                        terms.append(cnt * a ** (-s) * d ** (-w))
+            xi.append(complex(fsum(t.real for t in terms), fsum(t.imag for t in terms)))
+        want = (s, w, amax, dmax, xi[0] + xi[1], xi[0], xi[1])
+        assert tuple(series.shintani_Z(s, w, amax, dmax)) == want
+
+
 def test_shintani_Z_size_cap():
     for amax, dmax in ((series.SHINTANI_CAP + 1, 1), (1001, 1000), (10**5, 10**5)):
         with pytest.raises(ValueError, match="amax \\* dmax must be at most"):
