@@ -6,6 +6,7 @@ fusion from cubes, the twisted SL2 x SL4 action and relative invariants.
 import time
 from typing import NamedTuple
 
+from . import qforms
 from .qforms import Form
 from .report import report
 
@@ -29,7 +30,12 @@ def pair_from_coeffs(r1, a, b, c, d, l1, r2, e, f, g, h, l2):
 
 
 def is_alternating(M):
-    return all(M[i][j] == -M[j][i] for i in range(4) for j in range(i, 4))
+    """M = -M^t: zero diagonal, and each entry below it the negative of its
+    mirror above."""
+    return (M[0][0] == M[1][1] == M[2][2] == M[3][3] == 0
+            and M[0][1] == -M[1][0] and M[0][2] == -M[2][0]
+            and M[0][3] == -M[3][0] and M[1][2] == -M[2][1]
+            and M[1][3] == -M[3][1] and M[2][3] == -M[3][2])
 
 
 def pfaffian(M):
@@ -73,17 +79,18 @@ def _combine(M, N, cm, cn):
 
 
 def qform_F(F):
-    """Q_F(u, v) = -Pfaff(M u - N v), coefficients by evaluation."""
+    """Q_F(u, v) = -Pfaff(M u - N v) = -Pfaff(M) u^2 + B(M, N) uv - Pfaff(N) v^2,
+    where B is the polarization of the Pfaffian."""
     M, N = F
-    ca = -pfaffian(M)
-    cc = -pfaffian(_combine(M, N, 0, -1))
-    cb = -pfaffian(_combine(M, N, 1, -1)) - ca - cc
+    # pfaffian checks that M and N are alternating, hence M u - N v is too
+    ca, cc = -pfaffian(M), -pfaffian(N)
+    cb = (M[0][2] * N[1][3] + N[0][2] * M[1][3] - M[0][3] * N[1][2]
+          - N[0][3] * M[1][2] - M[0][1] * N[2][3] - N[0][1] * M[2][3])
     return Form(ca, cb, cc)
 
 
 def disc(F):
-    Q = qform_F(F)
-    return Q.b * Q.b - 4 * Q.a * Q.c
+    return qforms.disc(qform_F(F))
 
 
 def fuse(A):
@@ -134,12 +141,12 @@ def verify_fusion(seed=0, cases=10000, bound=50):
     failure = None
     for i in range(cases):
         A = cubes.Cube(*(rng.randint(-bound, bound) for _ in range(8)))
-        F = fuse(A)
-        if qform_F(F) != cubes.qform(A, 1) or disc(F) != cubes.disc(A):
+        Q, Q1, D = qform_F(fuse(A)), cubes.qform(A, 1), cubes.disc(A)
+        if Q != Q1 or qforms.disc(Q) != D:
             failure = {
                 "inputs": {"cube": list(A), "case": i},
-                "expected": list(cubes.qform(A, 1)),
-                "actual": list(qform_F(F)),
+                "expected": {"Q": list(Q1), "disc": D},
+                "actual": {"Q": list(Q), "disc": qforms.disc(Q)},
             }
             break
     return report("fusion", t0, cases, failure)

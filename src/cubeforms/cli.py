@@ -96,9 +96,11 @@ def build_parser():
 
     pc = sub.add_parser("cube", help="cube operations")
     cs = pc.add_subparsers(dest="cube_command", required=True)
+    mn_help = f"nonzero, absolute value at most {cubes.MN_CAP}"
     p = cs.add_parser("construct")
     for flag in ("--disc", "--m", "--n", "--x", "--y"):
-        p.add_argument(flag, type=int, required=True)
+        p.add_argument(flag, type=int, required=True,
+                       help=mn_help if flag in ("--m", "--n") else None)
     p.set_defaults(run=_construct)
     p = cs.add_parser("invariants")
     p.add_argument("--cube", type=_parse_cube, required=True,
@@ -106,7 +108,8 @@ def build_parser():
     p.set_defaults(run=_invariants)
     p = cs.add_parser("orbits")
     for flag in ("--disc", "--m", "--n"):
-        p.add_argument(flag, type=int, required=True)
+        p.add_argument(flag, type=int, required=True,
+                       help=mn_help if flag in ("--m", "--n") else None)
     p.set_defaults(run=lambda a: {"disc": a.disc, "m": a.m, "n": a.n,
                                   "orbits": cubes.count_orbits(a.disc, a.m, a.n)})
 

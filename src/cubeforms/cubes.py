@@ -43,6 +43,10 @@ class BorelElement(NamedTuple):
 
 ZERO = Cube(0, 0, 0, 0, 0, 0, 0, 0)
 
+# construct_cube and count_orbits factor numbers up to about 4 max(|m|, |n|)
+# by trial division; at |m| = |n| = 10^12 that takes about 0.2 s
+MN_CAP = 10 ** 12
+
 # entry indices of (M, N) for each of the three slicings
 _SLICES = (
     ((0, 1, 2, 3), (4, 5, 6, 7)),
@@ -66,14 +70,14 @@ def _det2(M):
 
 
 def qform(A, i):
-    """Associated form Q_i(u, v) = -det(M_i u - N_i v)."""
-    M, N = slices(A)[i - 1]
-    ca = -_det2(M)
-    cc = -_det2(N)
-    MN = ((M[0][0] - N[0][0], M[0][1] - N[0][1]),
-          (M[1][0] - N[1][0], M[1][1] - N[1][1]))
-    cb = -_det2(MN) - ca - cc
-    return Form(ca, cb, cc)
+    """Associated form Q_i(u, v) = -det(M_i u - N_i v), expanded in the
+    entries m_k of M_i and n_k of N_i (row-major)."""
+    (p0, p1, p2, p3), (q0, q1, q2, q3) = _SLICES[i - 1]
+    m0, m1, m2, m3 = A[p0], A[p1], A[p2], A[p3]
+    n0, n1, n2, n3 = A[q0], A[q1], A[q2], A[q3]
+    return Form(m1 * m2 - m0 * m3,
+                m0 * n3 + m3 * n0 - m1 * n2 - m2 * n1,
+                n1 * n2 - n0 * n3)
 
 
 def disc(A):
@@ -160,8 +164,7 @@ def construct_cube(D, m, n, x, y):
     e = n/c, f = -(x+y)/(2c), then h by CRT so that f | s + e h and
     f | t + b h, finally g = (s + e h)/f and d = (t + b h)/f.
     """
-    if m == 0 or n == 0:
-        raise ValueError("m and n must be nonzero")
+    _check_mn(m, n)
     if not 0 <= x <= 2 * abs(m) - 1:
         raise ValueError("x out of range [0, 2|m| - 1]")
     if not 0 <= y <= 2 * abs(n) - 1:
@@ -203,6 +206,13 @@ def construct_cube(D, m, n, x, y):
     return A
 
 
+def _check_mn(m, n):
+    if m == 0 or n == 0:
+        raise ValueError("m and n must be nonzero")
+    if abs(m) > MN_CAP or abs(n) > MN_CAP:
+        raise ValueError(f"|m| and |n| must be at most {MN_CAP}")
+
+
 def _postcondition(ok, what):
     # raised, not asserted: python -O strips assert statements
     if not ok:
@@ -221,8 +231,7 @@ def invariant_tuple(A):
 
 def count_orbits(D, m, n):
     """B(D, m, n), the number of Borel-triple integral orbits, as a Fraction."""
-    if m == 0 or n == 0:
-        raise ValueError("m and n must be nonzero")
+    _check_mn(m, n)
     if not arith.is_discriminant(D):
         raise ValueError("D must be a discriminant")
     # d ranges over the common divisors of m, n and D1, where D = D0 D1^2
@@ -313,11 +322,10 @@ def verify_composition_law(D):
             nn, yy = Q2.a, Q2.b % (2 * Q2.a)
             cases += 1
             A = construct_cube(D, mm, nn, xx, yy)
-            r1 = qforms.reduce(qform(A, 1))
-            r2 = qforms.reduce(qform(A, 2))
-            r3 = qforms.reduce(qform(A, 3))
+            forms = [qform(A, i) for i in (1, 2, 3)]
+            r1, r2, r3 = (qforms.reduce(Q) for Q in forms)
             ok = (
-                is_projective(A)
+                all(qforms.is_primitive(Q) for Q in forms)
                 and r1 == Q1
                 and r2 == Q2
                 and qforms.compose(qforms.compose(r1, r2), r3) == one

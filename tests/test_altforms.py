@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -65,6 +66,69 @@ def test_qform_F_square_is_det():
             val = Q.a * u * u + Q.b * u * v + Q.c * v * v
             assert val * val == altforms.det4(
                 altforms._combine(F.first, F.second, u, -v))
+
+
+def _qform_F_by_pfaffians(F):
+    # the evaluation qform_F replaced: Pfaffians of M, -N and M - N
+    M, N = F
+    ca = -altforms.pfaffian(M)
+    cc = -altforms.pfaffian(altforms._combine(M, N, 0, -1))
+    cb = -altforms.pfaffian(altforms._combine(M, N, 1, -1)) - ca - cc
+    return (ca, cb, cc)
+
+
+def test_qform_F_matches_pfaffian_oracle():
+    import sympy
+    from sympy.combinatorics import Permutation
+
+    def pf(X):
+        # Pf X = (1 / (2^n n!)) sum over S_2n of sgn(s) prod X[s(2k)][s(2k+1)]
+        total = sum(Permutation(list(s)).signature() * X[s[0], s[1]] * X[s[2], s[3]]
+                    for s in itertools.permutations(range(4)))
+        return total / 8
+
+    def alt(entries):
+        X = sympy.zeros(4, 4)
+        for (i, j), x in zip(itertools.combinations(range(4), 2), entries):
+            X[i, j], X[j, i] = x, -x
+        return X
+
+    # the library normalizes Pfaff(J) = 1 for J = [[0, I], [-I, 0]]
+    scale = 1 / pf(sympy.Matrix(J))
+    assert scale == -1
+    ms, ns = sympy.symbols("m0:6"), sympy.symbols("n0:6")
+    u, v = sympy.symbols("u v")
+    Q = sympy.Poly(-scale * pf(alt(ms) * u - alt(ns) * v), u, v)
+    want = (Q.coeff_monomial(u ** 2), Q.coeff_monomial(u * v), Q.coeff_monomial(v ** 2))
+    F = AltFormPair(*(tuple(tuple(X.row(i)) for i in range(4)) for X in (alt(ms), alt(ns))))
+    got = altforms.qform_F(F)
+    assert all(sympy.expand(x - y) == 0 for x, y in zip(got, want))
+
+
+def test_qform_F_matches_pfaffian_evaluation():
+    rng = random.Random(67)
+    for k in range(4000):
+        if k % 2:
+            F = AltFormPair(rand_alt(rng), rand_alt(rng))
+        else:
+            F = AltFormPair(*(alt_matrix(*(Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                                           for _ in range(6))) for _ in range(2)))
+        assert altforms.qform_F(F) == _qform_F_by_pfaffians(F)
+
+
+def test_non_alternating_rejected_in_every_entry():
+    M = alt_matrix(1, -2, 3, 4, -5, 6)
+    assert altforms.is_alternating(M)
+    for i in range(4):
+        for j in range(4):
+            bad = tuple(tuple(x + (r == i and c == j) for c, x in enumerate(row))
+                        for r, row in enumerate(M))
+            assert not altforms.is_alternating(bad)
+            with pytest.raises(ValueError):
+                altforms.pfaffian(bad)
+            for F in (AltFormPair(bad, M), AltFormPair(M, bad)):
+                with pytest.raises(ValueError):
+                    altforms.qform_F(F)
 
 
 def test_fuse():
@@ -142,3 +206,16 @@ def test_verify_fusion_suite():
     assert rep["status"] == "pass"
     assert rep["cases_run"] == 2000
     assert rep["first_failure"] is None
+
+
+def test_verify_fusion_reports_form_and_disc(monkeypatch):
+    # a wrong discriminant alone must show in the report
+    disc = cubes.disc
+    monkeypatch.setattr(cubes, "disc", lambda A: disc(A) + 1)
+    rep = altforms.verify_fusion(seed=3, cases=10)
+    assert rep["status"] == "fail"
+    fail = rep["first_failure"]
+    A = cubes.Cube(*fail["inputs"]["cube"])
+    Q = list(cubes.qform(A, 1))
+    assert fail["expected"] == {"Q": Q, "disc": disc(A) + 1}
+    assert fail["actual"] == {"Q": Q, "disc": disc(A)}

@@ -202,6 +202,12 @@ def test_verify_subcommands_pass(capsys):
     ("zeta", "wmds", "--s", "2", "--w", "3", "--mmax", "0", "--dset", "5"),
     ("zeta", "wmds", "--s", "2", "--w", "3", "--mmax", "1000001", "--dset", "5"),
     ("classnum", "--disc", "-1000000000003"),
+    # |m|, |n| above cubes.MN_CAP: a prime near 10^18 would hang trial division
+    ("cube", "orbits", "--disc", "-23", "--m", "1000000000000000003",
+     "--n", "1000000000000000003"),
+    ("cube", "orbits", "--disc", "-23", "--m", "1", "--n", "-1000000000001"),
+    ("cube", "construct", "--disc", "-4000000000003", "--m", "1000000000001",
+     "--n", "1", "--x", "1", "--y", "1"),
 ], ids=" ".join)
 def test_out_of_range_sizes_rejected(capsys, argv):
     code, out, err = run(capsys, *argv)

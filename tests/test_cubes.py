@@ -55,6 +55,50 @@ def test_qform_matches_displayed_polynomials():
                                      -(c * h - d * g))
 
 
+def _qform_by_slices(A, i):
+    # the evaluation qform replaced: three 2x2 determinants of the slicing
+    M, N = cubes.slices(A)[i - 1]
+    ca, cc = -cubes._det2(M), -cubes._det2(N)
+    MN = ((M[0][0] - N[0][0], M[0][1] - N[0][1]),
+          (M[1][0] - N[1][0], M[1][1] - N[1][1]))
+    return (ca, -cubes._det2(MN) - ca - cc, cc)
+
+
+def _rand_fraction_cube(rng, bound=9):
+    return Cube(*(Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+                  for _ in range(8)))
+
+
+def test_qform_matches_determinant_oracle():
+    import sympy
+
+    # the cube as a tensor T[i][j][k]: face i, row j, column k; the slicing
+    # i fixes the i-th index, M at 0 and N at 1
+    syms = sympy.symbols("a b c d e f g h")
+    T = [[[syms[4 * i + 2 * j + k] for k in (0, 1)] for j in (0, 1)] for i in (0, 1)]
+    pairs = (
+        [sympy.Matrix(2, 2, lambda j, k: T[t][j][k]) for t in (0, 1)],
+        [sympy.Matrix(2, 2, lambda j, i: T[i][j][t]) for t in (0, 1)],
+        [sympy.Matrix(2, 2, lambda k, i: T[i][t][k]) for t in (0, 1)],
+    )
+    u, v = sympy.symbols("u v")
+    A = Cube(*syms)
+    for i, (M, N) in enumerate(pairs, 1):
+        Q = sympy.Poly(-(M * u - N * v).det(), u, v)
+        want = (Q.coeff_monomial(u ** 2), Q.coeff_monomial(u * v), Q.coeff_monomial(v ** 2))
+        got = cubes.qform(A, i)
+        assert all(sympy.expand(x - y) == 0 for x, y in zip(got, want))
+
+
+def test_qform_matches_slice_evaluation():
+    rng = random.Random(61)
+    for k in range(4000):
+        A = (Cube(*(rng.randint(-50, 50) for _ in range(8))) if k % 2
+             else _rand_fraction_cube(rng))
+        for i in (1, 2, 3):
+            assert cubes.qform(A, i) == _qform_by_slices(A, i)
+
+
 def test_disc():
     assert cubes.disc(Cube(0, 1, 1, 0, 1, 0, 0, -1)) == -4
     assert cubes.disc(cubes.ZERO) == 0
@@ -202,6 +246,21 @@ def test_count_orbits():
     assert cubes.count_orbits(5, 1, 1) == 1
     with pytest.raises(ValueError):
         cubes.count_orbits(-23, 0, 1)
+
+
+def test_m_and_n_are_capped(monkeypatch):
+    cap = cubes.MN_CAP
+    assert cubes.count_orbits(-23, cap, -cap) == 0
+
+    def no_factoring(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    monkeypatch.setattr(arith, "factorize", no_factoring)
+    for m, n in ((cap + 1, 1), (1, -cap - 1), (10 ** 18 + 3, 10 ** 18 + 3)):
+        with pytest.raises(ValueError, match=str(cap)):
+            cubes.count_orbits(-23, m, n)
+        with pytest.raises(ValueError, match=str(cap)):
+            cubes.construct_cube(-23, m, n, 1, 1)
 
 
 def test_count_orbits_matches_enumeration():
