@@ -46,33 +46,6 @@ def pfaffian(M):
     return M[0][2] * M[1][3] - M[0][3] * M[1][2] - M[0][1] * M[2][3]
 
 
-def det4(M):
-    total = 0
-    for perm, sign in _PERMS:
-        p = sign
-        for i, j in enumerate(perm):
-            p *= M[i][j]
-        total += p
-    return total
-
-
-def _perms4():
-    from itertools import permutations
-    out = []
-    for perm in permutations(range(4)):
-        sign = 1
-        perm_l = list(perm)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if perm_l[i] > perm_l[j]:
-                    sign = -sign
-        out.append((perm, sign))
-    return out
-
-
-_PERMS = _perms4()
-
-
 def _combine(M, N, cm, cn):
     return tuple(tuple(cm * M[i][j] + cn * N[i][j] for j in range(4))
                  for i in range(4))

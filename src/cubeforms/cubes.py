@@ -55,16 +55,6 @@ _SLICES = (
 )
 
 
-def slices(A):
-    """The three pairs (M_i, N_i) of opposite 2x2 faces."""
-    out = []
-    for mi, ni in _SLICES:
-        M = ((A[mi[0]], A[mi[1]]), (A[mi[2]], A[mi[3]]))
-        N = ((A[ni[0]], A[ni[1]]), (A[ni[2]], A[ni[3]]))
-        out.append((M, N))
-    return tuple(out)
-
-
 def _det2(M):
     return M[0][0] * M[1][1] - M[0][1] * M[1][0]
 
@@ -116,11 +106,6 @@ def borel_invariants(A):
     """(D, m, n) = (disc(A), Q_1(1, 0), Q_2(1, 0))."""
     a, b, c, d, e, f, g, h = A
     return disc(A), -(a * d - b * c), -(a * g - c * e)
-
-
-def is_projective(A):
-    """True when all three associated forms are primitive."""
-    return all(qforms.is_primitive(qform(A, i)) for i in (1, 2, 3))
 
 
 def _is_lower_triangular(M):

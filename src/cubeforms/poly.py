@@ -3,7 +3,7 @@ products, trimming, and expansion of a quotient as a truncated power series.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 
 def mul(p, q):
@@ -25,15 +25,19 @@ def trim(p):
 
 def expand(num, den, order):
     """Coefficients of q^0 .. q^order of the power series num/den, as
-    Fractions. Requires den[0] != 0."""
+    Fractions. The coefficients may be ints or Fractions. Requires
+    den[0] != 0."""
     if den[0] == 0:
         raise ValueError("constant term of the denominator must be nonzero")
-    # one common multiple of every denominator makes num and den integral
-    num = [Fraction(c) for c in num[:order + 1]]
-    den = [Fraction(c) for c in den]
-    scale = lcm(*(c.denominator for c in num + den))
+    num = num[:order + 1]
+    # one common multiple of every denominator makes num and den integral,
+    # and one common divisor of all their coefficients keeps them small
+    scale = lcm(*(c.denominator for c in num), *(c.denominator for c in den))
     num = [c.numerator * (scale // c.denominator) for c in num]
-    d0, *rest = [c.numerator * (scale // c.denominator) for c in den]
+    den = [c.numerator * (scale // c.denominator) for c in den]
+    content = gcd(*num, *den)
+    num = [c // content for c in num]
+    d0, *rest = [c // content for c in den]
     # y_k = d0^(k+1) * (coefficient k) is an integer:
     #   y_k = d0^k num_k - sum_{j >= 1} d0^(j-1) den_j y_(k-j)
     tail = [(j, d * d0 ** (j - 1)) for j, d in enumerate(rest[:order], 1) if d]

@@ -68,7 +68,8 @@ def coeffs_A(D, N):
         return lambda l: arith._count_sqrt_pp(D, p, l + shift)
 
     out = _multiplicative(arith.smallest_prime_factors(N), local)
-    out[::2] = [arith._count_sqrt_pp(D, 2, 2) * v for v in out[::2]]
+    a4 = arith._count_sqrt_pp(D, 2, 2)
+    out[::2] = [a4 * v for v in out[::2]]
     return out
 
 

@@ -7,6 +7,8 @@ import pytest
 from cubeforms import altforms, cubes, qforms
 from cubeforms.altforms import AltFormPair, alt_matrix, pair_from_coeffs
 
+import oracles
+
 J = ((0, 0, 1, 0), (0, 0, 0, 1), (-1, 0, 0, 0), (0, -1, 0, 0))
 ZERO4 = tuple((0,) * 4 for _ in range(4))
 I4 = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
@@ -32,7 +34,7 @@ def test_pfaffian_squares_to_det():
     rng = random.Random(31)
     for _ in range(500):
         M = rand_alt(rng)
-        assert altforms.pfaffian(M) ** 2 == altforms.det4(M)
+        assert altforms.pfaffian(M) ** 2 == oracles.det4(M)
 
 
 def test_pfaffian_congruence_covariance():
@@ -41,7 +43,7 @@ def test_pfaffian_congruence_covariance():
         M = rand_alt(rng, 9)
         g = tuple(tuple(rng.randint(-3, 3) for _ in range(4)) for _ in range(4))
         assert (altforms.pfaffian(altforms._congruence(g, M))
-                == altforms.det4(g) * altforms.pfaffian(M))
+                == oracles.det4(g) * altforms.pfaffian(M))
 
 
 def test_qform_F_examples():
@@ -64,7 +66,7 @@ def test_qform_F_square_is_det():
         Q = altforms.qform_F(F)
         for u, v in ((1, 0), (0, 1), (1, 1), (2, -3), (5, 7)):
             val = Q.a * u * u + Q.b * u * v + Q.c * v * v
-            assert val * val == altforms.det4(
+            assert val * val == oracles.det4(
                 altforms._combine(F.first, F.second, u, -v))
 
 
@@ -156,7 +158,7 @@ def test_act_24_preserves_disc():
     # signed permutation of det 1 and a shear, both det 1
     perm = ((0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     shear = ((1, 0, 2, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, -3, 0, 1))
-    assert altforms.det4(perm) == altforms.det4(shear) == 1
+    assert oracles.det4(perm) == oracles.det4(shear) == 1
     for _ in range(300):
         F = AltFormPair(rand_alt(rng, 9), rand_alt(rng, 9))
         g1 = rng.choice((((1, 0), (0, 1)), ((1, 1), (0, 1)), ((0, 1), (-1, 0))))
@@ -180,7 +182,7 @@ def test_invariants_W():
     for _ in range(100):
         A = cubes.Cube(*(rng.randint(-9, 9) for _ in range(8)))
         F = altforms.fuse(A)
-        M1 = cubes.slices(A)[0][0]
+        M1 = oracles.slices(A)[0][0]
         assert altforms.invariants_W(F) == (cubes.disc(A), 0, -cubes._det2(M1))
     with pytest.raises(ValueError):
         altforms.invariants_W(pair_from_coeffs(1, 0, 0, 0, 0, 0,
@@ -196,7 +198,7 @@ def test_class_map_is_surjective():
             for Q2 in classes:
                 A = cubes.construct_cube(D, Q1.a, Q2.a,
                                          Q1.b % (2 * Q1.a), Q2.b % (2 * Q2.a))
-                assert cubes.is_projective(A)
+                assert oracles.is_projective(A)
                 hit.add(qforms.reduce(altforms.qform_F(altforms.fuse(A))))
         assert hit == set(classes)
 

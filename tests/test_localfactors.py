@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubeforms import arith
 from cubeforms import localfactors as lf
@@ -177,6 +179,59 @@ def test_lfactor_building_blocks():
             ]
             for fn, den, num in cases:
                 assert fn(alpha, order) * den == num, (fn.__name__, alpha, order)
+
+
+def _oracle_series(alpha, order):
+    # every function built from 1 - c q^k series and inverse alone, with
+    # the local integral as its defining sum over b = alpha, 1/alpha:
+    # 1/(1+q^2) sum_b c_b (1 - q^2/b^2)(1 + (c-1) b q)/(1 - b q)
+    def om(c, k):
+        return lf.TruncatedSeries.one_minus(c, k, order)
+
+    a, b = alpha, 1 / alpha
+    split_den = om(a, 1) * om(a, 1) * om(b, 1) * om(b, 1)
+    inert_den = om(a ** 2, 2) * om(b ** 2, 2)
+    adjoint_den = om(a ** 2, 2) * om(1, 2) * om(b ** 2, 2)
+    plus_q2 = one_plus_q2(order)
+    out = {
+        "lfactor_split": split_den.inverse(),
+        "lfactor_inert": inert_den.inverse(),
+        "lfactor_adjoint": adjoint_den.inverse(),
+        "lfactor_ratio_split": om(1, 2) * adjoint_den * (om(1, 4) * split_den).inverse(),
+        "lfactor_ratio_inert": plus_q2 * adjoint_den * (om(1, 4) * inert_den).inverse(),
+        "split_product_form": (om(1, 2) * om(-a, 1) * om(-b, 1)
+                               * (plus_q2 * om(a, 1) * om(b, 1)).inverse()),
+    }
+    for D, p in LOCAL_PLACES:
+        c = arith.count_sqrt_prime_power(D, p, 1)
+        total = lf.TruncatedSeries.constant(0, order)
+        for x, cx in ((a, 1 / (1 - b ** 2)), (b, 1 / (1 - a ** 2))):
+            total = total + (cx * om(1 / x ** 2, 2) * om((1 - c) * x, 1)
+                             * om(x, 1).inverse())
+        out[("local_A_integral", D, p)] = total * plus_q2.inverse()
+    return out
+
+
+LOCAL_PLACES = [(-23, 3), (-23, 13), (5, 3), (-7, 3)]   # split, split, inert, inert
+
+HEIGHT = 10 ** 6
+nonunit_alphas = st.builds(lambda s, u, v: s * F(u, v), st.sampled_from((-1, 1)),
+                           st.integers(1, HEIGHT), st.integers(1, HEIGHT)
+                           ).filter(lambda a: a * a != 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nonunit_alphas, st.integers(0, 40))
+def test_local_functions_match_one_minus_oracle(alpha, order):
+    for key, want in _oracle_series(alpha, order).items():
+        if isinstance(key, tuple):
+            name, D, p = key
+            got = lf.local_A_integral(D, p, alpha, order)
+        else:
+            name = key
+            got = getattr(lf, name)(alpha, order)
+        assert got == want, (key, alpha, order)
+        assert all(type(c) is Fraction for c in got.coeffs), (name, alpha, order)
 
 
 def test_orbit_count_wprime():

@@ -43,6 +43,9 @@ def test_expand_times_denominator_is_numerator():
         assert len(series) == n + 1
         assert all(type(c) is Fraction for c in series)
         assert poly.mul(series, den)[:n + 1] == (num + [0] * (n + 1))[:n + 1]
+        # ints are read like the equal Fractions
+        assert series == poly.expand([Fraction(c) for c in num],
+                                     [Fraction(c) for c in den], n)
 
 
 def test_expand_geometric_series():
@@ -51,6 +54,23 @@ def test_expand_geometric_series():
     assert poly.expand([1], [1, -1], -1) == []
     assert poly.expand([1], [2, -1], 3) == [Fraction(1, 2 ** (k + 1)) for k in range(4)]
     assert poly.expand([3, 4], [1], 0) == [3]
+
+
+def test_expand_in_lowest_terms():
+    # (1 + q)/(1 - q/2) = 1 + 3/2 q + 3/4 q^2 + ...
+    got = poly.expand([6, 6], [6, -3], 4)
+    assert [(c.numerator, c.denominator) for c in got] == \
+        [(1, 1), (3, 2), (3, 4), (3, 8), (3, 16)]
+    assert all(type(c) is Fraction for c in got)
+
+
+def test_expand_ignores_common_content():
+    for n in (0, 1, 7, 20):
+        assert poly.expand([6, 6], [6, -3], n) == poly.expand([2, 2], [2, -1], n)
+        assert poly.expand([Fraction(3, 5)] * 2, [Fraction(3, 5), Fraction(-3, 10)], n) \
+            == poly.expand([2, 2], [2, -1], n)
+    assert poly.expand([6, 6], [6, -3], -1) == []
+    assert poly.expand([0], [12, 18], 3) == [0, 0, 0, 0]
 
 
 def test_expand_rejects_zero_constant_term():
