@@ -122,4 +122,4 @@ def verify_fusion(seed=0, cases=10000, bound=50):
                 "actual": {"Q": list(Q), "disc": qforms.disc(Q)},
             }
             break
-    return report("fusion", t0, cases, failure)
+    return report("fusion", t0, i + 1, failure)

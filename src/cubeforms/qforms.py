@@ -86,23 +86,6 @@ def inverse(Q):
     return reduce(Form(a, -b, c))
 
 
-def _coprime_representative(Q, coprime_to):
-    # SL2-equivalent form whose leading coefficient is coprime to `coprime_to`
-    for bound in (2, 4, 8, 16, 32):
-        for u in range(-bound, bound + 1):
-            for v in range(-bound, bound + 1):
-                if gcd(u, v) != 1:
-                    continue
-                val = evaluate(Q, u, v)
-                if val != 0 and gcd(val, coprime_to) == 1:
-                    # extend (u, v) to an SL2 matrix with top row (u, v)
-                    g0, r, s = _xgcd(u, v)
-                    if g0 < 0:
-                        r, s = -r, -s
-                    return act(((u, v), (-s, r)), Q)
-    raise ValueError("no coprime representative found (imprimitive form?)")
-
-
 def _xgcd(a, b):
     old_r, r = a, b
     old_s, s = 1, 0
@@ -118,23 +101,24 @@ def _xgcd(a, b):
 def compose(Q1, Q2):
     """Gauss composition of primitive definite forms of equal discriminant.
 
-    Uses united (concordant) forms: replace Q2 by an equivalent form whose
-    leading coefficient is coprime to that of Q1, align the middle
-    coefficients by CRT, and read off the product.
+    Dirichlet composition (Cohen, Alg. 5.4.7): with s = (b1 + b2)/2 and
+    e = gcd(a1, a2, s) = u a1 + v a2 + w s, the product is
+    (a1 a2/e^2, B, C) with B = b2 + 2 (a2/e)(v (s - b2) - w c2) mod 2A.
     """
     D = disc(Q1)
     if disc(Q2) != D:
         raise ValueError("discriminants must match")
     if not (is_primitive(Q1) and is_primitive(Q2)):
         raise ValueError("forms must be primitive")
-    Q1 = reduce(Form(*Q1))
-    Q2 = reduce(Form(*Q2))
-    a1, b1, _ = Q1
-    a2, b2, _ = _coprime_representative(Q2, a1)
-    # B = b1 (mod 2 a1), B = b2 (mod 2 a2); b1, b2 share the parity of D
-    k = (pow(a1, -1, a2) * ((b2 - b1) // 2)) % a2
-    B = b1 + 2 * a1 * k
-    A = a1 * a2
+    a1, b1, _ = reduce(Form(*Q1))
+    a2, b2, c2 = reduce(Form(*Q2))
+    s = (b1 + b2) // 2  # b1, b2 share the parity of D
+    d, _, v = _xgcd(a1, a2)
+    # e < 0 can occur when s < 0; A and B are unchanged if e, v, w all flip sign
+    e, x, w = _xgcd(d, s)
+    v *= x
+    A = a1 * a2 // (e * e)
+    B = (b2 + 2 * (a2 // e) * (v * (s - b2) - w * c2)) % (2 * A)
     C = (B * B - D) // (4 * A)
     return reduce(Form(A, B, C))
 

@@ -216,6 +216,8 @@ def test_verify_fusion_reports_form_and_disc(monkeypatch):
     monkeypatch.setattr(cubes, "disc", lambda A: disc(A) + 1)
     rep = altforms.verify_fusion(seed=3, cases=10)
     assert rep["status"] == "fail"
+    # the suite stops at case 0 and counts only the cases it ran
+    assert rep["cases_run"] == 1
     fail = rep["first_failure"]
     A = cubes.Cube(*fail["inputs"]["cube"])
     Q = list(cubes.qform(A, 1))

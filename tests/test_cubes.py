@@ -184,6 +184,21 @@ def test_verify_characters_suite():
     assert rep["cases_run"] == 500
 
 
+def test_verify_characters_counts_cases_to_first_failure(monkeypatch):
+    characters = cubes.characters
+
+    def wrong_chi1(g):
+        chi1, chi2, chi3 = characters(g)
+        return chi1 + 1, chi2, chi3
+
+    monkeypatch.setattr(cubes, "characters", wrong_chi1)
+    rep = cubes.verify_characters(seed=1, cases=500)
+    assert rep["status"] == "fail"
+    # the suite stops at case 0 and counts only the cases it ran
+    assert rep["first_failure"]["inputs"]["case"] == 0
+    assert rep["cases_run"] == 1
+
+
 def test_is_projective():
     A = Cube(0, 1, 1, -6, 1, -1, -6, 0)
     assert oracles.is_projective(A)
@@ -199,6 +214,25 @@ def test_construct_cube_examples():
         cubes.construct_cube(-23, 1, 1, 0, 1)
     A = cubes.construct_cube(-4, 1, 1, 0, 0)
     assert cubes.qform(A, 1) == (1, 0, 1) and cubes.qform(A, 2) == (1, 0, 1)
+    # f splits into a part prime to e and a part sharing e's primes
+    assert cubes.construct_cube(-23, 1, 39, 1, 35) == Cube(0, 1, 1, -1, 39, -18, -22, 10)
+    assert cubes.construct_cube(-23, 1, 58, 1, 95) == Cube(0, 1, 1, -1, 58, -48, -11, 9)
+
+
+def test_factorize_calls_of_construct_cube_and_count_orbits(monkeypatch):
+    calls = []
+    factorize = arith.factorize
+
+    def counted(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(arith, "factorize", counted)
+    cubes.construct_cube(-23, 1, 39, 1, 35)
+    cubes.construct_cube(-23, 1, 58, 1, 95)
+    assert calls == []
+    assert cubes.count_orbits(-3 * 4 ** 3 * 5 ** 2, 60, -40) == 72
+    assert sorted(calls) == [160, 240]
 
 
 def test_construct_cube_postconditions_small():

@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cubeforms import qforms
+from cubeforms import arith, qforms
 from cubeforms.qforms import Form
 
 GENS = (((1, 1), (0, 1)), ((1, 0), (1, 1)), ((0, 1), (-1, 0)))
@@ -95,6 +98,71 @@ def test_compose_rejects_mismatch():
         qforms.compose(Form(1, 1, 2), Form(1, 1, 6))
     with pytest.raises(ValueError):
         qforms.compose(Form(2, 2, 4), Form(2, 2, 4))  # imprimitive
+
+
+def _genus_characters(D):
+    # chi_{D1} for each factorization D = D1 D2 into fundamental
+    # discriminants or 1; the pair (D1, D2) and the pair (D2, D1) give the
+    # same character on forms
+    out = []
+    for d in range(1, -D + 1):
+        for D1 in (d, -d):
+            if D % D1 == 0 and all(x == 1 or arith.is_fundamental(x)
+                                   for x in (D1, D // D1)):
+                out.append((D1, D // D1))
+    return out
+
+
+def _genus_value(D1, Q):
+    # chi_{D1}(a) for a value a of Q prime to disc(Q)
+    D = qforms.disc(Q)
+    for u in range(30):
+        for v in range(30):
+            a = qforms.evaluate(Q, u, v)
+            if gcd(a, D) == 1:
+                return arith.kronecker(D1, a)
+    raise AssertionError(f"no value of {Q} prime to {D}")
+
+
+def _representation_counts(Q, N):
+    # r_Q(n) = #{(x, y) : Q(x, y) = n} for 0 <= n <= N, from
+    # 4a Q(x, y) = (2ax + by)^2 + |D| y^2
+    a, b, _ = Q
+    D = qforms.disc(Q)
+    r = [0] * (N + 1)
+    R, Y = isqrt(4 * a * N), isqrt(4 * a * N // -D)
+    for y in range(-Y, Y + 1):
+        for x in range((-b * y - R) // (2 * a), (-b * y + R) // (2 * a) + 1):
+            n = qforms.evaluate(Q, x, y)
+            if n <= N:
+                r[n] += 1
+    return r
+
+
+FUNDAMENTAL = [D for D in range(-3, -1200, -1) if arith.is_fundamental(D)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(FUNDAMENTAL))
+def test_genus_characters_match_class_group(D):
+    # the toric periods of theta series: for a genus character chi of
+    # D = D1 D2, sum over classes of chi([Q]) r_Q(n) is
+    # w sum_{d | n} chi_{D1}(d) chi_{D2}(n / d); the trivial character is
+    # Dirichlet's class number formula coefficient by coefficient
+    N = 300
+    classes = qforms.enumerate_class_group(D)
+    w = 2 * qforms.stabilizer_order(classes[0])
+    counts = {Q: _representation_counts(Q, N) for Q in classes}
+    for D1, D2 in _genus_characters(D):
+        chi = {Q: _genus_value(D1, Q) for Q in classes}
+        for Q1 in classes:
+            for Q2 in classes:
+                assert chi[qforms.compose(Q1, Q2)] == chi[Q1] * chi[Q2]
+        for n in range(1, N + 1):
+            lhs = sum(chi[Q] * counts[Q][n] for Q in classes)
+            rhs = w * sum(arith.kronecker(D1, d) * arith.kronecker(D2, n // d)
+                          for d in range(1, n + 1) if n % d == 0)
+            assert lhs == rhs, (D, D1, n)
 
 
 def test_enumerate_class_group():
