@@ -6,14 +6,13 @@ A cube (a, b, c, d, e, f, g, h) has front face [[a, b], [c, d]] and back
 face [[e, f], [g, h]].
 """
 
-import time
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
 from . import arith, qforms
 from .qforms import Form
-from .report import report
+from .report import run
 
 
 class Cube(NamedTuple):
@@ -46,6 +45,10 @@ ZERO = Cube(0, 0, 0, 0, 0, 0, 0, 0)
 # count_orbits factors 4m and 4n by trial division, once each; at
 # m = n = 999999999989, a prime, that takes about 0.13 s
 MN_CAP = 10 ** 12
+
+# verify_composition_law builds h^2 cubes, about 18 us each: about 3 s at
+# the cap on a 2-core VM (h = 398 at D = -60359)
+CLASS_CAP = 400
 
 # entry indices of (M, N) for each of the three slicings
 _SLICES = (
@@ -240,100 +243,75 @@ def solutions_in_window(D, m):
     return [x for x in range(2 * abs(m)) if (x * x - D) % (4 * m) == 0]
 
 
-def _rand_fraction(rng, bound=9):
-    num = rng.randint(-bound, bound)
-    den = rng.randint(1, bound)
-    return Fraction(num, den)
+def _rand_fraction(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
 
-def random_borel_element(rng, bound=9):
-    """Random invertible Borel element with rational entries."""
+def random_borel_element(rng):
+    """Random invertible Borel element, entries p/q with |p| <= 9, 1 <= q <= 9."""
     while True:
-        r1, r2 = _rand_fraction(rng, bound), _rand_fraction(rng, bound)
-        s1, s2 = _rand_fraction(rng, bound), _rand_fraction(rng, bound)
-        u1, u2 = _rand_fraction(rng, bound), _rand_fraction(rng, bound)
-        g3 = ((_rand_fraction(rng, bound), _rand_fraction(rng, bound)),
-              (_rand_fraction(rng, bound), _rand_fraction(rng, bound)))
+        r1, r2 = _rand_fraction(rng), _rand_fraction(rng)
+        s1, s2 = _rand_fraction(rng), _rand_fraction(rng)
+        u1, u2 = _rand_fraction(rng), _rand_fraction(rng)
+        g3 = ((_rand_fraction(rng), _rand_fraction(rng)),
+              (_rand_fraction(rng), _rand_fraction(rng)))
         if r1 * s1 != 0 and r2 * s2 != 0 and _det2(g3) != 0:
             return BorelElement(((r1, 0), (u1, s1)), ((r2, 0), (u2, s2)), g3)
 
 
-def verify_characters(seed=0, cases=10000, bound=9):
+def verify_characters(seed=0, cases=10000):
     """Seeded random check that D, m, n scale by chi1, chi2, chi3 on
-    cases >= 1 random cubes."""
+    `cases` random cubes with entries in [-9, 9]."""
     import random
 
-    if cases < 1:
-        raise ValueError("cases must be at least 1")
-    t0 = time.monotonic()
     rng = random.Random(seed)
-    failure = None
-    for i in range(cases):
-        A = Cube(*(rng.randint(-bound, bound) for _ in range(8)))
-        g = random_borel_element(rng, bound)
+
+    def case(i):
+        A = Cube(*(rng.randint(-9, 9) for _ in range(8)))
+        g = random_borel_element(rng)
         chi1, chi2, chi3 = characters(g)
         D0, m0, n0 = borel_invariants(A)
         D1, m1, n1 = borel_invariants(borel_act(g, A))
         if (D1, m1, n1) != (chi1 * D0, chi2 * m0, chi3 * n0):
-            failure = {
+            return {
                 "inputs": {"cube": list(A), "case": i},
                 "expected": [str(chi1 * D0), str(chi2 * m0), str(chi3 * n0)],
                 "actual": [str(D1), str(m1), str(n1)],
             }
-            break
-    return report("characters", t0, i + 1, failure)
+
+    return run("characters", map(case, range(cases)))
 
 
 def verify_composition_law(D):
-    """Check the cube composition law at discriminant D < 0 odd fundamental.
-
-    Enumerates one cube per pair of form classes through the constructive
-    lemma and confirms the class map [A] -> ([Q1], [Q2]) is a bijection
-    with [Q1][Q2][Q3] principal throughout.
-    """
-    t0 = time.monotonic()
+    """Check the cube composition law at discriminant D < 0 odd fundamental
+    with class number at most CLASS_CAP: the cube the constructive lemma
+    builds for each pair of form classes maps to that pair, with
+    [Q1][Q2][Q3] principal, so [A] -> ([Q1], [Q2]) is a bijection."""
     if not (D < 0 and D % 2):
         raise ValueError("D must be a negative odd fundamental discriminant")
     # checks DISC_CAP before is_fundamental, which factors D by trial division
     classes = qforms.enumerate_class_group(D)
+    h = len(classes)
+    if h > CLASS_CAP:
+        raise ValueError(f"class number {h} is above {CLASS_CAP}: "
+                         "the suite would build h^2 cubes")
     one = qforms.principal_form(D)
-    failure = None
-    seen_pairs = {}
-    cases = 0
-    for Q1 in classes:
-        mm, xx = Q1.a, Q1.b % (2 * Q1.a)
-        for Q2 in classes:
-            nn, yy = Q2.a, Q2.b % (2 * Q2.a)
-            cases += 1
-            A = construct_cube(D, mm, nn, xx, yy)
-            forms = [qform(A, i) for i in (1, 2, 3)]
-            r1, r2, r3 = (qforms.reduce(Q) for Q in forms)
-            ok = (
-                all(qforms.is_primitive(Q) for Q in forms)
+
+    def case(Q1, Q2):
+        A = construct_cube(D, Q1.a, Q2.a, Q1.b % (2 * Q1.a), Q2.b % (2 * Q2.a))
+        forms = [qform(A, i) for i in (1, 2, 3)]
+        r1, r2, r3 = (qforms.reduce(Q) for Q in forms)
+        if not (all(qforms.is_primitive(Q) for Q in forms)
                 and r1 == Q1
                 and r2 == Q2
-                and qforms.compose(qforms.compose(r1, r2), r3) == one
-            )
-            if not ok and failure is None:
-                failure = {
-                    "inputs": {"disc": D, "class1": list(Q1), "class2": list(Q2)},
-                    "expected": "projective cube with [Q1][Q2][Q3] principal",
-                    "actual": {"Q1": list(r1), "Q2": list(r2), "Q3": list(r3)},
-                }
-            if (r1, r2) in seen_pairs and failure is None:
-                failure = {
-                    "inputs": {"disc": D},
-                    "expected": "distinct class pairs",
-                    "actual": {"pair": [list(r1), list(r2)]},
-                }
-            seen_pairs[(r1, r2)] = A
-    h = len(classes)
-    complete = len(seen_pairs) == h * h
-    if not complete and failure is None:
-        failure = {
-            "inputs": {"disc": D},
-            "expected": h * h,
-            "actual": len(seen_pairs),
-        }
-    return report("composition", t0, cases, failure,
-                  disc=D, class_number=h, cube_classes=len(seen_pairs))
+                and qforms.compose(qforms.compose(r1, r2), r3) == one):
+            return {
+                "inputs": {"disc": D, "class1": list(Q1), "class2": list(Q2)},
+                "expected": "projective cube with [Q1][Q2][Q3] principal",
+                "actual": {"Q1": list(r1), "Q2": list(r2), "Q3": list(r3)},
+            }
+
+    rep = run("composition", (case(Q1, Q2) for Q1 in classes for Q2 in classes),
+              disc=D, class_number=h)
+    # the cases that passed, h^2 on a pass
+    return {**rep, "cube_classes": rep["cases_run"] - (rep["first_failure"] is not None)}

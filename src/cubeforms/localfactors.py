@@ -4,13 +4,12 @@ function, congruence-count weighted local integrals, and the split/inert
 base-change over adjoint L-factor ratios.
 """
 
-import time
 from fractions import Fraction
 from functools import reduce
 from math import prod
 
 from . import arith, poly
-from .report import report
+from .report import run
 
 # verify_local_identities expands each series to this order at most: about
 # 0.4 s at the cap on a 2-core VM (median of 10 runs, Python 3.11), and the
@@ -30,10 +29,8 @@ class TruncatedSeries:
     def __init__(self, coeffs, order):
         if order < 0:
             raise ValueError("order must be non-negative")
-        cs = [Fraction(c) for c in coeffs[: order + 1]]
-        cs += [Fraction(0)] * (order + 1 - len(cs))
         self.order = order
-        self.coeffs = cs
+        self.coeffs = coeffs[: order + 1] + [Fraction(0)] * (order + 1 - len(coeffs))
 
     @classmethod
     def constant(cls, value, order):
@@ -227,26 +224,21 @@ def split_product_form(alpha, order):
 
 
 def verify_local_identities(alphas=(2, Fraction(3, 2), 5, Fraction(7, 3)),
-                            order=40, D_split=-23, p_split=3,
-                            D_inert=5, p_inert=3):
-    """Split and inert local integral identities at truncation `order`,
-    0 <= order <= ORDER_CAP."""
+                            order=40):
+    """Split (p = 3, D = -23) and inert (p = 3, D = 5) local integral
+    identities at truncation `order`, 0 <= order <= ORDER_CAP."""
     if not 0 <= order <= ORDER_CAP:
         raise ValueError(f"order must be in [0, {ORDER_CAP}]")
-    t0 = time.monotonic()
-    failure = None
-    cases = 0
-    for alpha in alphas:
-        cases += 1
-        split_int = local_A_integral(D_split, p_split, alpha, order)
+
+    def case(alpha):
+        split_int = local_A_integral(-23, 3, alpha, order)
         split_ratio = lfactor_ratio_split(alpha, order)
         middle = split_product_form(alpha, order)
-        inert_int = local_A_integral(D_inert, p_inert, alpha, order)
+        inert_int = local_A_integral(5, 3, alpha, order)
         inert_ratio = lfactor_ratio_inert(alpha, order)
-        ok = (split_int == split_ratio == middle
-              and inert_int.is_constant(1) and inert_ratio.is_constant(1))
-        if not ok:
-            failure = {
+        if not (split_int == split_ratio == middle
+                and inert_int.is_constant(1) and inert_ratio.is_constant(1)):
+            return {
                 "inputs": {"alpha": str(Fraction(alpha)), "order": order},
                 "expected": "split chain equal, inert chain constant 1",
                 "actual": {
@@ -255,5 +247,5 @@ def verify_local_identities(alphas=(2, Fraction(3, 2), 5, Fraction(7, 3)),
                     "inert_integral": [str(c) for c in inert_int.coeffs[:6]],
                 },
             }
-            break
-    return report("local", t0, cases, failure)
+
+    return run("local", map(case, alphas))

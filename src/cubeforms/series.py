@@ -4,12 +4,11 @@ zeta(s)/zeta(2s) identity, its exact coefficient-wise verification, the
 the Shintani and double Dirichlet series.
 """
 
-import time
 from math import fsum
 from typing import NamedTuple
 
 from . import arith, poly
-from .report import report
+from .report import report, run
 
 # verify_ptilde2 brute-forces modulo 2^(lmax + 2), so its time doubles per step
 LMAX_CAP = 20
@@ -112,18 +111,20 @@ def verify_prop2(D, N):
     """Entrywise comparison of the two coefficient vectors up to N,
     1 <= N <= N_CAP."""
     _require_size("N", N)
-    t0 = time.monotonic()
-    lhs = coeffs_A(D, N)
-    rhs = coeffs_rhs(D, N)
-    failure = None
-    if lhs != rhs:
+
+    def check():
+        lhs = coeffs_A(D, N)
+        rhs = coeffs_rhs(D, N)
+        if lhs == rhs:
+            return N, None
         m = next(m for m, (a, b) in enumerate(zip(lhs, rhs), start=1) if a != b)
-        failure = {
+        return N, {
             "inputs": {"disc": D, "m": m},
             "expected": lhs[m - 1],
             "actual": rhs[m - 1],
         }
-    return report("prop2", t0, N, failure)
+
+    return report("prop2", check)
 
 
 # -- 2-adic lemma ------------------------------------------------------------
@@ -133,26 +134,23 @@ def verify_ptilde2(D, lmax):
     generating-function ratio symbolically (as rational functions in 2^-s).
     Requires 0 <= lmax <= LMAX_CAP.
     """
-    t0 = time.monotonic()
     _require_odd_disc(D)
     if not 0 <= lmax <= LMAX_CAP:
         raise ValueError(f"lmax must be in [0, {LMAX_CAP}]")
-    failure = None
-    cases = 0
+    rep = run("ptilde2", _ptilde2_cases(D, lmax))
+    return {**rep, "ratio": 2 if rep["first_failure"] is None else None}
 
+
+def _ptilde2_cases(D, lmax):
     a4 = arith.count_sqrt_brute(D, 4)
     want_a4 = 2 if D % 8 in (1, 5) else 0
-    cases += 1
-    if a4 != want_a4:
-        failure = {"inputs": {"disc": D, "modulus": 4},
-                   "expected": want_a4, "actual": a4}
+    yield None if a4 == want_a4 else {
+        "inputs": {"disc": D, "modulus": 4}, "expected": want_a4, "actual": a4}
     tail = 4 if D % 8 == 1 else 0
     for l in range(1, lmax + 1):
-        cases += 1
         got = arith.count_sqrt_brute(D, 2 ** (l + 2))
-        if got != tail and failure is None:
-            failure = {"inputs": {"disc": D, "modulus": 2 ** (l + 2)},
-                       "expected": tail, "actual": got}
+        yield None if got == tail else {
+            "inputs": {"disc": D, "modulus": 2 ** (l + 2)}, "expected": tail, "actual": got}
 
     # ratio as rational functions in T = 2^-s:
     #   lhs = a4 + tail*T/(1-T),  reference = (1-T^2)/(1-T) * 1/(1-chi*T)
@@ -164,13 +162,9 @@ def verify_ptilde2(D, lmax):
     ref_den = poly.mul([1, -1], [1, -chi])       # (1-T)(1-chi*T)
     left = poly.trim(poly.mul(lhs_num, ref_den))
     right = poly.trim([2 * v for v in poly.mul(lhs_den, ref_num)])
-    cases += 1
-    if left != right and failure is None:
-        failure = {"inputs": {"disc": D},
-                   "expected": "ratio identically 2",
-                   "actual": {"left": left, "right": right}}
-    return report("ptilde2", t0, cases, failure,
-                  ratio=2 if failure is None else None)
+    yield None if left == right else {
+        "inputs": {"disc": D}, "expected": "ratio identically 2",
+        "actual": {"left": left, "right": right}}
 
 
 # -- truncated double sums ---------------------------------------------------

@@ -119,7 +119,7 @@ def test_criterion_06_composition_law():
 
 def test_criterion_07_fusion_compatibility():
     with criterion(7, "fusion compatibility", 5):
-        rep = altforms.verify_fusion(seed=0, cases=10000, bound=50)
+        rep = altforms.verify_fusion(seed=0, cases=10000)
         assert rep["status"] == "pass", rep["first_failure"]
         assert rep["cases_run"] == 10000
 

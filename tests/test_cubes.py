@@ -336,3 +336,29 @@ def test_verify_composition_law():
         assert rep["cube_classes"] == h * h
     with pytest.raises(ValueError):
         cubes.verify_composition_law(-4)
+
+
+def test_verify_composition_law_stops_at_first_failure(monkeypatch):
+    # a group law that is wrong whenever a factor is not principal; at
+    # D = -23 the classes are [(1, 1, 6), (2, 1, 3), (2, -1, 3)], so the
+    # pair (principal, (2, 1, 3)) at index 1 is the first to fail
+    one, wrong = qforms.principal_form(-23), qforms.Form(2, 1, 3)
+    real = qforms.compose
+    monkeypatch.setattr(qforms, "compose",
+                        lambda f, g: real(f, g) if f == g == one else wrong)
+    rep = cubes.verify_composition_law(-23)
+    assert rep["status"] == "fail"
+    assert rep["cases_run"] == 2
+    assert list(rep) == ["suite", "status", "cases_run", "first_failure", "elapsed_ms",
+                         "disc", "class_number", "cube_classes"]
+    assert (rep["disc"], rep["class_number"], rep["cube_classes"]) == (-23, 3, 1)
+    fail = rep["first_failure"]
+    assert list(fail) == ["inputs", "expected", "actual"]
+    assert fail["inputs"] == {"disc": -23, "class1": [1, 1, 6], "class2": [2, 1, 3]}
+
+
+def test_verify_composition_law_class_number_cap(monkeypatch):
+    monkeypatch.setattr(cubes, "CLASS_CAP", 2)
+    assert cubes.verify_composition_law(-15)["cube_classes"] == 4     # h = 2
+    with pytest.raises(ValueError, match="class number 3 is above 2"):
+        cubes.verify_composition_law(-23)

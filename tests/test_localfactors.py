@@ -252,3 +252,20 @@ def test_verify_local_identities_suite():
     for order in (-1, lf.ORDER_CAP + 1):
         with pytest.raises(ValueError, match=f"order must be in \\[0, {lf.ORDER_CAP}\\]"):
             lf.verify_local_identities(order=order)
+    # no alpha, no case: a suite never passes vacuously
+    with pytest.raises(ValueError, match="no cases"):
+        lf.verify_local_identities(alphas=())
+
+
+def test_verify_local_identities_stops_at_first_failure(monkeypatch):
+    # a wrong split ratio at alpha = 5, the third default alpha
+    real = lf.lfactor_ratio_split
+    monkeypatch.setattr(lf, "lfactor_ratio_split",
+                        lambda alpha, order: real(alpha, order) + (alpha == 5))
+    rep = lf.verify_local_identities(order=10)
+    assert rep["status"] == "fail"
+    assert rep["cases_run"] == 3
+    assert list(rep)[-1] == "elapsed_ms"
+    fail = rep["first_failure"]
+    assert list(fail) == ["inputs", "expected", "actual"]
+    assert fail["inputs"] == {"alpha": "5", "order": 10}

@@ -111,6 +111,19 @@ def test_verify_ptilde2():
         assert series.verify_ptilde2(D, 5)["status"] == "pass"
 
 
+def test_verify_ptilde2_stops_at_first_failure(monkeypatch):
+    # a wrong count modulo 16, the third case (moduli 4, 8, 16, ...)
+    real = arith.count_sqrt_brute
+    monkeypatch.setattr(arith, "count_sqrt_brute",
+                        lambda d, m: real(d, m) + (m == 16))
+    rep = series.verify_ptilde2(-23, 6)
+    assert rep["status"] == "fail"
+    assert rep["cases_run"] == 3
+    assert list(rep)[-1] == "ratio" and rep["ratio"] is None
+    assert rep["first_failure"] == {"inputs": {"disc": -23, "modulus": 16},
+                                    "expected": 4, "actual": 5}
+
+
 def test_shintani_Z_first_term():
     z = series.shintani_Z(2.0, 2.0, 1, 1)
     assert z.xi1 == 2.0   # A(1, 4) = 2
