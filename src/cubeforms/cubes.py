@@ -78,23 +78,16 @@ def disc(A):
     return (-a * h + b * g + c * f - d * e) ** 2 - 4 * (a * d - b * c) * (e * h - f * g)
 
 
-def _act_slice(A, i, g):
-    # g acts on the stacked pair (M_i; N_i) by row combination
-    (g11, g12), (g21, g22) = g
-    mi, ni = _SLICES[i - 1]
-    vals = list(A)
-    for pm, pn in zip(mi, ni):
-        m, n = vals[pm], vals[pn]
-        vals[pm] = g11 * m + g12 * n
-        vals[pn] = g21 * m + g22 * n
-    return Cube(*vals)
-
-
 def _act_slots(A, gs):
-    # the i-th of the three matrices gs acts on the i-th slicing
-    for i, g in enumerate(gs, 1):
-        A = _act_slice(A, i, g)
-    return A
+    # the i-th of the three matrices gs acts on the i-th slicing, by row
+    # combination of the stacked pair (M_i; N_i)
+    vals = list(A)
+    for ((g11, g12), (g21, g22)), (mi, ni) in zip(gs, _SLICES):
+        for pm, pn in zip(mi, ni):
+            m, n = vals[pm], vals[pn]
+            vals[pm] = g11 * m + g12 * n
+            vals[pn] = g21 * m + g22 * n
+    return Cube(*vals)
 
 
 def act(g1, g2, g3, A):
@@ -111,10 +104,6 @@ def borel_invariants(A):
     return disc(A), -(a * d - b * c), -(a * g - c * e)
 
 
-def _is_lower_triangular(M):
-    return M[0][1] == 0
-
-
 def characters(g):
     """(chi1, chi2, chi3) of a Borel element."""
     d1, d2, d3 = _det2(g.b1), _det2(g.b2), _det2(g.g3)
@@ -128,7 +117,7 @@ def characters(g):
 
 def borel_act(g, A):
     """Rational Borel-triple action; D, m, n transform by the characters."""
-    if not (_is_lower_triangular(g.b1) and _is_lower_triangular(g.b2)):
+    if g.b1[0][1] != 0 or g.b2[0][1] != 0:
         raise ValueError("b1, b2 must be lower triangular")
     for M in (g.b1, g.b2, g.g3):
         if _det2(M) == 0:
@@ -160,19 +149,15 @@ def construct_cube(D, m, n, x, y):
     e = n // c
     f = -(half // c)
     if f == 0:
-        # only x = y = 0; then b s = e t with gcd(b, e) = 1, so e | s
+        # only x = y = 0; then b s = e t with gcd(b, e) = 1, so e | s and
+        # b h = -t for h = -s/e: validated input always meets this
         h, r = divmod(-s, e)
-        if r or b * h != -t:
-            raise ValueError("inconsistent f = 0 case")
+        _postcondition(r == 0 and b * h == -t, "e | s and b h = -t")
         d = g = 0
     else:
         # f = f1 f2 with f1 the largest divisor of |f| prime to e; e is a
         # unit mod f1 and b mod f2, since gcd(b, e, f) = 1
-        f1 = abs(f)
-        r = gcd(f1, e)
-        while r > 1:
-            f1 //= r
-            r = gcd(f1, e)
+        f1 = arith.coprime_part(abs(f), e)
         f2 = abs(f) // f1
         h1 = -s * pow(e, -1, f1) % f1
         h2 = -t * pow(b, -1, f2) % f2

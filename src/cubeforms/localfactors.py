@@ -39,7 +39,9 @@ class TruncatedSeries:
     @classmethod
     def one_minus(cls, coeff, power, order):
         """1 - coeff * q^power."""
-        return cls(_one_minus(coeff, power), order)
+        p = [Fraction(1)] + [Fraction(0)] * power
+        p[power] -= Fraction(coeff)
+        return cls(p, order)
 
     def _coerce(self, other):
         if isinstance(other, (int, Fraction)):
@@ -63,10 +65,8 @@ class TruncatedSeries:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return TruncatedSeries([c * other for c in self.coeffs], self.order)
-        a, b = self.coeffs, self._coerce(other).coeffs
-        # only the products of degree <= order
-        return TruncatedSeries([sum(a[i] * b[k - i] for i in range(k + 1))
-                                for k in range(self.order + 1)], self.order)
+        return TruncatedSeries(poly.mul(self.coeffs, self._coerce(other).coeffs),
+                               self.order)
 
     __rmul__ = __mul__
 
@@ -87,13 +87,6 @@ class TruncatedSeries:
 
     def __repr__(self):
         return f"TruncatedSeries({self.coeffs!r}, order={self.order})"
-
-
-def _one_minus(c, k):
-    """The polynomial 1 - c q^k."""
-    p = [Fraction(1)] + [Fraction(0)] * k
-    p[k] -= Fraction(c)
-    return p
 
 
 def _ratio(num, den, order):
@@ -118,29 +111,22 @@ def _check_alpha(alpha):
     return alpha.numerator, alpha.denominator
 
 
-def _spherical_weights(alpha):
-    """[(b, c_b)] for b = alpha, 1/alpha: c_alpha = 1/(1 - alpha^-2) and
-    c_(1/alpha) = 1/(1 - alpha^2), so that
-    sigma(p^n) = q^n/(1+q^2) * sum_b c_b b^n (1 - q^2/b^2)."""
-    return [(alpha, 1 / (1 - alpha ** -2)), (1 / alpha, 1 / (1 - alpha ** 2))]
-
-
 def macdonald(alpha, p, n, order=None):
     """Spherical function value sigma(p^n) as an exact series in q.
 
     sigma(p^n) = q^n/(1+q^2) * ( a^n (1 - a^-2 q^2)/(1 - a^-2)
-                               + a^-n (1 - a^2 q^2)/(1 - a^2) ).
+                               + a^-n (1 - a^2 q^2)/(1 - a^2) ),
+    which with a = u/v is q^n (p0 + p2 q^2) / [w (1+q^2)] on integers.
     """
-    alpha = Fraction(*_check_alpha(alpha))
+    u, v = _check_alpha(alpha)
     if n < 0:
         raise ValueError("n must be non-negative")
     if order is None:
         order = n + 2
-    weights = _spherical_weights(alpha)
-    # degree-2 numerator polynomial in q
-    p0 = sum(c * b ** n for b, c in weights)
-    p2 = -sum(c * b ** (n - 2) for b, c in weights)
-    return TruncatedSeries(poly.expand([0] * n + [p0, 0, p2], [1, 0, 1], order), order)
+    p0 = u ** (2 * n + 2) - v ** (2 * n + 2)
+    p2 = u * u * v ** (2 * n) - u ** (2 * n) * v * v
+    w = (u * u - v * v) * (u * v) ** n
+    return TruncatedSeries(poly.expand([0] * n + [p0, 0, p2], [w, 0, w], order), order)
 
 
 def local_A_integral(D, p, alpha, lmax):

@@ -67,9 +67,7 @@ def reduce(Q):
         if b2 != b:
             b, c = b2, (b2 * b2 - D) // (4 * a)
             continue
-        if a == abs(b) and b < 0:
-            b = -b
-            continue
+        # b in (-a, a], and b >= 0 if a = c: reduced
         return Form(a, b, c)
 
 
@@ -140,7 +138,7 @@ def enumerate_class_group(D):
             c = (b * b - D) // (4 * a)
             if c < a:
                 continue
-            if b < 0 and (a == c or a == -b):
+            if b < 0 and a == c:
                 continue
             if gcd(gcd(a, b), c) == 1:
                 out.append(Form(a, b, c))

@@ -2,8 +2,10 @@ import random
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy.functions.combinatorial.numbers import kronecker_symbol
 
 from cubeforms import arith
 
@@ -84,6 +86,48 @@ def test_kronecker_vs_legendre():
        st.integers(1, 500), st.integers(1, 500))
 def test_kronecker_multiplicative(D, m, n):
     assert arith.kronecker(D, m * n) == arith.kronecker(D, m) * arith.kronecker(D, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6))
+def test_kronecker_matches_sympy(D, n):
+    # n = 0 and n < 0 included: (D/0) = [D = +-1], (D/-1) = sign of D
+    assert arith.kronecker(D, n) == kronecker_symbol(D, n)
+    assert arith.kronecker(D, 0) == kronecker_symbol(D, 0)
+    assert arith.kronecker(D, -abs(n)) == kronecker_symbol(D, -abs(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, arith.TRIAL_BOUND ** 2 - 1))
+@example(arith.TRIAL_BOUND ** 2 - 1)                      # 1999999 * 2000001
+@example(sympy.prevprime(arith.TRIAL_BOUND ** 2))
+@example(4 * 999999999989)
+def test_factorize_matches_sympy_below_trial_bound_squared(n):
+    assert arith.factorize(n) == sympy.factorint(n)
+
+
+def test_factorize_certifies_or_rejects_a_large_cofactor():
+    p, q = 10 ** 9 + 7, 10 ** 9 + 9
+    assert arith.factorize(10 ** 18 + 3) == {10 ** 18 + 3: 1}
+    assert arith.factorize(2 ** 60) == {2: 60}
+    assert arith.factorize(12 * p) == {2: 2, 3: 1, p: 1}
+    with pytest.raises(ValueError, match="cannot factor"):
+        arith.factorize(p * q)
+    # the least strong pseudoprimes to the first 12 and 13 prime bases: is_prime
+    # runs 13 bases, so it rejects the first and is valid only below the second
+    psi12, psi13 = 399165290221 * 798330580441, arith.MR_LIMIT
+    assert not sympy.isprime(psi12) and not arith.is_prime(psi12)
+    assert not sympy.isprime(psi13) and arith.is_prime(psi13)
+    for n in (3 * psi12, 3 * psi13, sympy.nextprime(psi13)):
+        with pytest.raises(ValueError, match="cannot factor"):
+            arith.factorize(n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10 ** 6), st.integers(-10 ** 4, 10 ** 4))
+def test_coprime_part_matches_brute_force(n, k):
+    want = max(d for d in sympy.divisors(n) if gcd(d, k) == 1)
+    assert arith.coprime_part(n, k) == want
 
 
 def test_wmds_coeff_examples():

@@ -35,6 +35,17 @@ def test_sqrtcount(capsys):
     assert json.loads(out)["count"] == 2
 
 
+def test_sqrtcount_large_modulus(capsys):
+    # a prime modulus near 10^18 answers; two primes above the trial bound exit 2
+    code, out, _ = run(capsys, "sqrtcount", "--d", "5", "--mod", str(10 ** 18 + 3))
+    assert code == 0
+    assert json.loads(out)["count"] == 0
+    code, out, err = run(capsys, "sqrtcount", "--d", "5",
+                         "--mod", str((10 ** 9 + 7) * (10 ** 9 + 9)))
+    assert code == 2
+    assert out == "" and "cannot factor" in err
+
+
 # one valid argv per leaf command
 LEAVES = (
     ("classnum", "--disc", "-23"),

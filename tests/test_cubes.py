@@ -143,7 +143,9 @@ def test_slot_actions_commute():
     for _ in range(100):
         A = Cube(*(rng.randint(-9, 9) for _ in range(8)))
         g1, g2, g3 = (random_sl2(rng) for _ in range(3))
-        B = cubes._act_slice(cubes._act_slice(cubes._act_slice(A, 3, g3), 2, g2), 1, g1)
+        one = ((1, 0), (0, 1))
+        B = cubes._act_slots(cubes._act_slots(cubes._act_slots(
+            A, (one, one, g3)), (one, g2, one)), (g1, one, one))
         assert B == cubes.act(g1, g2, g3, A)
 
 
@@ -297,6 +299,12 @@ def test_m_and_n_are_capped(monkeypatch):
             cubes.count_orbits(-23, m, n)
         with pytest.raises(ValueError, match=str(cap)):
             cubes.construct_cube(-23, m, n, 1, 1)
+
+
+def test_orbit_count_cap_is_within_trial_division():
+    # count_orbits factors 4m and 4n: inside MN_CAP every cofactor that trial
+    # division leaves is a prime, so factorize never rejects them
+    assert 4 * cubes.MN_CAP <= arith.TRIAL_BOUND ** 2
 
 
 def test_count_orbits_matches_enumeration():

@@ -234,6 +234,26 @@ def test_local_functions_match_one_minus_oracle(alpha, order):
         assert all(type(c) is Fraction for c in got.coeffs), (name, alpha, order)
 
 
+def _macdonald_by_weights(alpha, n, order):
+    # sigma(p^n) = q^n/(1+q^2) * sum_b c_b b^n (1 - q^2/b^2) over b = alpha,
+    # 1/alpha with c_b = 1/(1 - b^-2), in Fractions; 1/(1+q^2) = sum (-1)^k q^2k
+    weights = [(b, 1 / (1 - b ** -2)) for b in (alpha, 1 / alpha)]
+    p0 = sum(c * b ** n for b, c in weights)
+    p2 = -sum(c * b ** (n - 2) for b, c in weights)
+    out = [F(0)] * (order + 1)
+    for k in range((order - n) // 2 + 1):
+        out[n + 2 * k] = (-1) ** k * p0 - (k > 0) * (-1) ** k * p2
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(nonunit_alphas, st.integers(0, 12), st.integers(0, 30))
+def test_macdonald_matches_weight_formula(alpha, n, order):
+    got = lf.macdonald(alpha, 3, n, order)
+    assert got.coeffs == _macdonald_by_weights(alpha, n, order)
+    assert all(type(c) is Fraction for c in got.coeffs)
+
+
 def test_orbit_count_wprime():
     # the W' orbit count at p^l is the number of square roots of D mod p^l
     assert arith.count_sqrt_prime_power(-23, 3, 0) == 1

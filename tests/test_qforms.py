@@ -56,6 +56,17 @@ def test_reduce():
         qforms.reduce(Form(1, 5, 1))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10 ** 6), st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6))
+def test_reduce_returns_a_reduced_form(a, b, k):
+    c = b * b // (4 * a) + k     # so that b^2 - 4ac < 0
+    r = qforms.reduce(Form(a, b, c))
+    assert abs(r.b) <= r.a <= r.c
+    if abs(r.b) == r.a or r.a == r.c:
+        assert r.b >= 0
+    assert qforms.disc(r) == b * b - 4 * a * c
+
+
 def test_reduce_is_class_invariant():
     rng = random.Random(5)
     for Q in (Form(1, 1, 6), Form(2, 1, 3), Form(3, 1, 4), Form(1, 1, 2)):
