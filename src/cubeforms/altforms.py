@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 from . import qforms
 from .qforms import Form
-from .report import run
+from .report import CASES_CAP, run
 
 
 class AltFormPair(NamedTuple):
@@ -101,11 +101,13 @@ def invariants_W(F):
 
 def verify_fusion(seed=0, cases=10000):
     """Seeded random check that Q_fuse(A) = Q_1(A) with disc preserved, on
-    `cases` random cubes with entries in [-50, 50]."""
+    `cases` random cubes with entries in [-50, 50], cases <= CASES_CAP."""
     import random
 
     from . import cubes
 
+    if cases > CASES_CAP:
+        raise ValueError(f"cases must be at most {CASES_CAP}")
     rng = random.Random(seed)
 
     def case(i):

@@ -17,9 +17,11 @@ TRIAL_BOUND = 2 * 10 ** 6
 
 
 def is_prime(n):
-    """Deterministic Miller-Rabin, valid for all n < MR_LIMIT (about 3.3e24)."""
+    """Deterministic Miller-Rabin; ValueError for n >= MR_LIMIT (about 3.3e24)."""
     if n < 2:
         return False
+    if n >= MR_LIMIT:
+        raise ValueError(f"primality is certified only below {MR_LIMIT}")
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
@@ -210,16 +212,11 @@ def kronecker(D, n):
     return result if n == 1 else 0
 
 
-def field_discriminant(D):
-    """Fundamental discriminant of the quadratic algebra Q(sqrt(D))."""
-    d0 = squarefree_part(D)
-    return d0 if d0 % 4 == 1 else 4 * d0
-
-
 def field_character(D, n):
-    """chi_D(n): the quadratic character attached to Q(sqrt(D)), i.e. the
-    Kronecker symbol of the associated fundamental discriminant."""
-    return kronecker(field_discriminant(D), n)
+    """chi_D(n): the Kronecker symbol of the fundamental discriminant of
+    Q(sqrt(D)), which is d0 or 4 d0 for the squarefree part d0 of D."""
+    d0 = squarefree_part(D)
+    return kronecker(d0 if d0 % 4 == 1 else 4 * d0, n)
 
 
 def _a_pp(p, k, l):

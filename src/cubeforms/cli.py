@@ -12,7 +12,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import altforms, arith, cubes, localfactors, qforms, series
+from . import altforms, arith, cubes, localfactors, qforms, report, series
 
 
 def _jsonable(v):
@@ -136,7 +136,7 @@ def build_parser():
                         ("characters", cubes.verify_characters)):
         p = vs.add_parser(name)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--cases", type=int, default=10000)
+        p.add_argument("--cases", type=int, default=10000, help=f"at most {report.CASES_CAP}")
         p.set_defaults(run=lambda a, suite=suite: suite(seed=a.seed, cases=a.cases))
 
     pz = sub.add_parser("zeta", help="truncated double-sum evaluation")

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 from . import arith, qforms
 from .qforms import Form
-from .report import run
+from .report import CASES_CAP, run
 
 
 class Cube(NamedTuple):
@@ -246,9 +246,11 @@ def random_borel_element(rng):
 
 def verify_characters(seed=0, cases=10000):
     """Seeded random check that D, m, n scale by chi1, chi2, chi3 on
-    `cases` random cubes with entries in [-9, 9]."""
+    `cases` random cubes with entries in [-9, 9], cases <= CASES_CAP."""
     import random
 
+    if cases > CASES_CAP:
+        raise ValueError(f"cases must be at most {CASES_CAP}")
     rng = random.Random(seed)
 
     def case(i):

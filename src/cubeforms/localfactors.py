@@ -18,11 +18,8 @@ ORDER_CAP = 1000
 
 
 class TruncatedSeries:
-    """Power series with exact rational coefficients, fixed truncation order.
-
-    Supports ring operations and inversion of units (nonzero constant
-    term); every operation truncates back to `order`.
-    """
+    """What every local function returns: the exact rational coefficients of
+    q^0 .. q^order. Products and inverses of units truncate to `order`."""
 
     __slots__ = ("order", "coeffs")
 
@@ -32,50 +29,15 @@ class TruncatedSeries:
         self.order = order
         self.coeffs = coeffs[: order + 1] + [Fraction(0)] * (order + 1 - len(coeffs))
 
-    @classmethod
-    def constant(cls, value, order):
-        return cls([Fraction(value)], order)
-
-    @classmethod
-    def one_minus(cls, coeff, power, order):
-        """1 - coeff * q^power."""
-        p = [Fraction(1)] + [Fraction(0)] * power
-        p[power] -= Fraction(coeff)
-        return cls(p, order)
-
-    def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            return TruncatedSeries.constant(other, self.order)
+    def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
-            raise TypeError(f"cannot combine with {type(other).__name__}")
+            return NotImplemented
         if other.order != self.order:
             raise ValueError("truncation orders differ")
-        return other
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return TruncatedSeries(
-            [a + b for a, b in zip(self.coeffs, other.coeffs)], self.order)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return TruncatedSeries(
-            [a - b for a, b in zip(self.coeffs, other.coeffs)], self.order)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return TruncatedSeries([c * other for c in self.coeffs], self.order)
-        return TruncatedSeries(poly.mul(self.coeffs, self._coerce(other).coeffs),
-                               self.order)
-
-    __rmul__ = __mul__
+        return TruncatedSeries(poly.mul(self.coeffs, other.coeffs), self.order)
 
     def inverse(self):
         return TruncatedSeries(poly.expand([1], self.coeffs, self.order), self.order)
-
-    def shift(self, k):
-        """Multiply by q^k."""
-        return TruncatedSeries([Fraction(0)] * k + self.coeffs, self.order)
 
     def is_constant(self, value):
         return self.coeffs[0] == value and all(c == 0 for c in self.coeffs[1:])

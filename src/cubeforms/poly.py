@@ -1,5 +1,5 @@
 """Dense polynomials as coefficient lists, constant term first: exact
-products, trimming, and expansion of a quotient as a truncated power series.
+products and expansion of a quotient as a truncated power series.
 """
 
 from fractions import Fraction
@@ -14,13 +14,6 @@ def mul(p, q):
             for j, qj in enumerate(q):
                 out[i + j] += pi * qj
     return out
-
-
-def trim(p):
-    """p without trailing zero coefficients (the zero polynomial is [0])."""
-    while len(p) > 1 and p[-1] == 0:
-        p = p[:-1]
-    return p
 
 
 def expand(num, den, order):

@@ -132,18 +132,13 @@ def enumerate_class_group(D):
         raise ValueError("only fundamental discriminants")
     out = []
     for a in range(1, isqrt(-D // 3) + 1):
-        for b in range(-a + 1, a + 1):
-            if (b * b - D) % (4 * a):
-                continue
-            c = (b * b - D) // (4 * a)
-            if c < a:
-                continue
-            if b < 0 and a == c:
-                continue
-            if gcd(gcd(a, b), c) == 1:
-                out.append(Form(a, b, c))
-    # positive b before its negative at the same a (conventional listing)
-    out.sort(key=lambda Q: (Q.a, -Q.b))
+        # positive b before its negative at the same a (conventional listing)
+        for b in range(a, -a, -1):
+            if (b * b - D) % (4 * a) == 0:
+                c = (b * b - D) // (4 * a)
+                # reduced (a < c, or a = c and b >= 0) and primitive
+                if (a < c or a == c and b >= 0) and gcd(gcd(a, b), c) == 1:
+                    out.append(Form(a, b, c))
     return out
 
 

@@ -4,6 +4,8 @@ zeta(s)/zeta(2s) identity, its exact coefficient-wise verification, the
 the Shintani and double Dirichlet series.
 """
 
+from cmath import isfinite
+from contextlib import contextmanager
 from math import fsum
 from typing import NamedTuple
 
@@ -156,12 +158,12 @@ def _ptilde2_cases(D, lmax):
     #   lhs = a4 + tail*T/(1-T),  reference = (1-T^2)/(1-T) * 1/(1-chi*T)
     # constant-2 identity <=> lhs_num * ref_den == 2 * lhs_den * ref_num
     chi = arith.kronecker(D, 2)
-    lhs_num = poly.trim([a4, tail - a4])         # a4(1-T) + tail*T
+    lhs_num = [a4, tail - a4]                    # a4(1-T) + tail*T
     lhs_den = [1, -1]                            # 1 - T
     ref_num = [1, 0, -1]                         # 1 - T^2
     ref_den = poly.mul([1, -1], [1, -chi])       # (1-T)(1-chi*T)
-    left = poly.trim(poly.mul(lhs_num, ref_den))
-    right = poly.trim([2 * v for v in poly.mul(lhs_den, ref_num)])
+    left = poly.mul(lhs_num, ref_den)            # 4 coefficients, as right has
+    right = [2 * v for v in poly.mul(lhs_den, ref_num)]
     yield None if left == right else {
         "inputs": {"disc": D}, "expected": "ratio identically 2",
         "actual": {"left": left, "right": right}}
@@ -181,7 +183,21 @@ class TruncatedDoubleSum(NamedTuple):
 
 def _complex_fsum(terms):
     # correctly rounded: math.fsum over the real and the imaginary parts
-    return complex(fsum(t.real for t in terms), fsum(t.imag for t in terms))
+    out = complex(fsum(t.real for t in terms), fsum(t.imag for t in terms))
+    if not isfinite(out):
+        raise OverflowError("the sum is not a finite float")
+    return out
+
+
+@contextmanager
+def _float_sum(s, w):
+    # a term or a sum outside the float range is an input error (exit 2)
+    if not (isfinite(s) and isfinite(w)):
+        raise ValueError("s and w must be finite")
+    try:
+        yield
+    except OverflowError as exc:
+        raise ValueError(f"the sum leaves the float range: {exc}") from None
 
 
 def shintani_Z(s, w, amax, dmax):
@@ -193,27 +209,29 @@ def shintani_Z(s, w, amax, dmax):
         raise ValueError(f"amax * dmax must be at most {SHINTANI_CAP}")
     # fsum is correctly rounded, so the order of the terms does not matter
     terms = {1: [], -1: []}
-    for a in range(1, amax + 1):
-        factors = arith.factorize(4 * a)
-        for d in range(1, dmax + 1):
-            for sign, out in terms.items():
-                cnt = arith._count_sqrt_factored(sign * d, factors)
-                if cnt:
-                    out.append(cnt * a ** (-s) * d ** (-w))
-    xi1, xi2 = _complex_fsum(terms[1]), _complex_fsum(terms[-1])
-    return TruncatedDoubleSum(s, w, amax, dmax, xi1 + xi2, xi1, xi2)
+    with _float_sum(s, w):
+        for a in range(1, amax + 1):
+            factors = arith.factorize(4 * a)
+            for d in range(1, dmax + 1):
+                for sign, out in terms.items():
+                    cnt = arith._count_sqrt_factored(sign * d, factors)
+                    if cnt:
+                        out.append(cnt * a ** (-s) * d ** (-w))
+        xi1, xi2 = _complex_fsum(terms[1]), _complex_fsum(terms[-1])
+        # fsum of two floats is their sum, checked to be finite
+        return TruncatedDoubleSum(s, w, amax, dmax, _complex_fsum([xi1, xi2]), xi1, xi2)
 
 
 def wmds_Z(s, w, mmax, Dset):
     """Partial sum of the quadratic double Dirichlet series over the
-    explicit discriminant list Dset and m <= mmax (1 <= mmax <= N_CAP)."""
+    explicit discriminant list Dset (nonempty) and m <= mmax, 1 <= mmax <= N_CAP."""
     _require_size("mmax", mmax)
+    if not Dset:
+        raise ValueError("Dset must not be empty")
     for D in Dset:
         _require_odd_disc(D)
     spf = arith.smallest_prime_factors(mmax)
-    terms = []
-    for D in Dset:
-        for m, chi_a in enumerate(_multiplicative(spf, _chihat_a(D)), start=1):
-            if chi_a:
-                terms.append(chi_a * m ** (-s) * abs(D) ** (-w))
-    return _complex_fsum(terms)
+    with _float_sum(s, w):
+        return _complex_fsum([chi_a * m ** (-s) * abs(D) ** (-w) for D in Dset
+                              for m, chi_a in enumerate(_multiplicative(spf, _chihat_a(D)), 1)
+                              if chi_a])

@@ -1,8 +1,9 @@
 """Reference constructions the tests check the library against: the
 slice matrices of a cube, projectivity read from the three associated
-forms, and the 4x4 determinant by the Leibniz formula. The library itself
-needs none of them."""
+forms, the 4x4 determinant by the Leibniz formula, and truncated power
+series as plain lists. The library itself needs none of them."""
 
+from fractions import Fraction
 from itertools import permutations
 
 from cubeforms import cubes, qforms
@@ -42,3 +43,52 @@ def det4(M):
             p *= M[i][j]
         total += p
     return total
+
+
+# -- truncated power series: lists of the coefficients of q^0 .. q^order ----
+# (the ring the local functions are defined in, written out with no call
+# into cubeforms.poly, so that a local function checked against it is
+# checked against code it does not share)
+
+def one_minus(c, k, order):
+    """1 - c q^k."""
+    out = [Fraction(1)] + [Fraction(0)] * order
+    if k <= order:
+        out[k] -= c
+    return out
+
+
+def add(*terms):
+    return [sum(cs, Fraction(0)) for cs in zip(*terms)]
+
+
+def scale(c, s):
+    return [c * x for x in s]
+
+
+def shift(s, k):
+    """q^k s, truncated to the length of s."""
+    return ([Fraction(0)] * k + s)[:len(s)]
+
+
+def _terms(s):
+    return [(j, c) for j, c in enumerate(s) if c]
+
+
+def mul(*factors):
+    """The product, truncated to the length of the first factor."""
+    out = factors[0]
+    for f in factors[1:]:
+        terms = _terms(f)
+        out = [sum((out[i - j] * c for j, c in terms if j <= i), Fraction(0))
+               for i in range(len(out))]
+    return out
+
+
+def inverse(s):
+    """1/s for s[0] != 0, by the recurrence s_0 y_k = [k = 0] - sum_{j >= 1} s_j y_(k-j)."""
+    tail = _terms(s)[1:]
+    y = []
+    for k in range(len(s)):
+        y.append((Fraction(k == 0) - sum(c * y[k - j] for j, c in tail if j <= k)) / s[0])
+    return y

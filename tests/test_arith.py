@@ -6,8 +6,9 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.functions.combinatorial.numbers import kronecker_symbol
+from sympy.ntheory.residue_ntheory import sqrt_mod
 
-from cubeforms import arith
+from cubeforms import arith, localfactors
 
 
 def test_count_sqrt_examples():
@@ -114,13 +115,39 @@ def test_factorize_certifies_or_rejects_a_large_cofactor():
     with pytest.raises(ValueError, match="cannot factor"):
         arith.factorize(p * q)
     # the least strong pseudoprimes to the first 12 and 13 prime bases: is_prime
-    # runs 13 bases, so it rejects the first and is valid only below the second
+    # runs 13 bases, so it rejects the first and refuses the second
     psi12, psi13 = 399165290221 * 798330580441, arith.MR_LIMIT
     assert not sympy.isprime(psi12) and not arith.is_prime(psi12)
-    assert not sympy.isprime(psi13) and arith.is_prime(psi13)
+    assert not sympy.isprime(psi13)
+    with pytest.raises(ValueError, match="certified only below"):
+        arith.is_prime(psi13)
     for n in (3 * psi12, 3 * psi13, sympy.nextprime(psi13)):
         with pytest.raises(ValueError, match="cannot factor"):
             arith.factorize(n)
+
+
+def test_is_prime_refuses_from_the_mr_limit_on():
+    # below the limit it agrees with sympy; from the limit on it answers
+    # nothing, and the callers that take p from outside refuse p with it
+    for n in range(arith.MR_LIMIT - 200, arith.MR_LIMIT):
+        assert arith.is_prime(n) == sympy.isprime(n), n
+    for n in (arith.MR_LIMIT, sympy.nextprime(arith.MR_LIMIT), 2 ** 89 - 1):
+        with pytest.raises(ValueError, match="certified only below"):
+            arith.is_prime(n)
+    with pytest.raises(ValueError):
+        arith.count_sqrt_prime_power(5, arith.MR_LIMIT, 1)
+    with pytest.raises(ValueError):
+        localfactors.local_A_integral(5, arith.MR_LIMIT, 2, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10 ** 4, 10 ** 4), st.integers(1, 5000))
+@example(5, 1)
+@example(0, 4096)
+@example(-1, 4999)
+def test_count_sqrt_mod_matches_sympy_sqrt_mod(d, a):
+    # sympy lists the roots of x^2 = d (mod a); for a = 1 it returns [0]
+    assert arith.count_sqrt_mod(d, a) == len(sqrt_mod(d, a, all_roots=True) or [])
 
 
 @settings(max_examples=200, deadline=None)

@@ -5,7 +5,7 @@ from math import fsum
 
 import pytest
 
-from cubeforms import arith, cli, cubes, series
+from cubeforms import altforms, arith, cli, cubes, report, series
 
 REPORT_KEYS = ["suite", "status", "cases_run", "first_failure", "elapsed_ms"]
 
@@ -227,6 +227,9 @@ def test_verify_subcommands_pass(capsys):
     ("verify", "fusion", "--cases", "0"),
     ("verify", "fusion", "--cases", "-3"),
     ("verify", "characters", "--cases", "0"),
+    # above report.CASES_CAP: 10^8 cases would run for hours
+    ("verify", "fusion", "--cases", "100001"),
+    ("verify", "characters", "--cases", "100000000"),
     ("verify", "ptilde2", "--disc", "-23", "--lmax", "-1"),
     ("verify", "ptilde2", "--disc", "-23", "--lmax", "21"),
     ("verify", "ptilde2", "--disc", "-23", "--lmax", "40"),
@@ -253,6 +256,40 @@ def test_out_of_range_sizes_rejected(capsys, argv):
     assert code == 2
     assert out == ""
     assert "error" in err
+
+
+def test_cases_cap_is_checked_before_any_case(monkeypatch):
+    def no_case(*args):
+        raise AssertionError("a case ran")
+
+    monkeypatch.setattr(cubes, "random_borel_element", no_case)
+    monkeypatch.setattr(altforms, "fuse", no_case)
+    for suite in (cubes.verify_characters, altforms.verify_fusion):
+        with pytest.raises(ValueError, match=f"at most {report.CASES_CAP}"):
+            suite(cases=report.CASES_CAP + 1)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("zeta", "shintani", "--s", "-1000", "--w", "2"), "float range"),
+    (("zeta", "wmds", "--s", "-1000", "--w", "2", "--mmax", "100", "--dset", "5"),
+     "float range"),
+    # every term finite, the products or the sum not
+    (("zeta", "shintani", "--s", "-160", "--w", "-160", "--amax", "10", "--dmax", "10"),
+     "float range"),
+    (("zeta", "wmds", "--s", "-300", "--w", "-10", "--mmax", "10", "--dset", "5,-23"),
+     "float range"),
+    (("zeta", "shintani", "--s", "nan", "--w", "2"), "must be finite"),
+    (("zeta", "shintani", "--s", "2", "--w", "inf"), "must be finite"),
+    (("zeta", "wmds", "--s", "2", "--w", "1-infj", "--dset", "5"), "must be finite"),
+    (("zeta", "wmds", "--s", "nan", "--w", "2", "--dset", "5"), "must be finite"),
+    (("zeta", "wmds", "--s", "2", "--w", "2", "--dset", ","), "must not be empty"),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
+def test_zeta_rejects_nonfinite_overflowing_and_empty_sums(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
 
 
 def test_verify_reports_are_seed_deterministic(capsys):

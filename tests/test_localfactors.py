@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from cubeforms import arith
 from cubeforms import localfactors as lf
+from oracles import add, inverse, mul, one_minus, scale, shift
 
 F = Fraction
 
@@ -28,18 +29,29 @@ class TestTruncatedSeries:
         a = series([1, 1], 4)
         b = series([1, -1], 4)
         assert (a * b).coeffs == [1, 0, -1, 0, 0]
-        assert (a + b).coeffs == [2, 0, 0, 0, 0]
-        assert (a - b).coeffs == [0, 2, 0, 0, 0]
-        assert (3 * a).coeffs == [3, 3, 0, 0, 0]
-        assert (a + 1).coeffs == [2, 1, 0, 0, 0]
+        assert (a * series([0, 0, 0, 1], 4)).coeffs == [0, 0, 0, 1, 1]   # truncated
+        # a series is a value: it multiplies only by a series
+        with pytest.raises(TypeError):
+            3 * a
+        with pytest.raises(TypeError):
+            a * F(1, 2)
+        # the list oracle's ring operations on the same values
+        assert mul(a.coeffs, b.coeffs) == [1, 0, -1, 0, 0]
+        assert add(a.coeffs, b.coeffs) == [2, 0, 0, 0, 0]
+        assert add(a.coeffs, scale(-1, b.coeffs)) == [0, 2, 0, 0, 0]
+        assert scale(3, a.coeffs) == [3, 3, 0, 0, 0]
+        assert one_minus(-1, 0, 4) == [2, 0, 0, 0, 0]
+        assert one_minus(2, 5, 4) == [1, 0, 0, 0, 0]   # q^5 is beyond the order
 
     def test_inverse(self):
-        g = lf.TruncatedSeries.one_minus(1, 1, 6)   # 1 - q
+        g = series(one_minus(1, 1, 6), 6)          # 1 - q
         inv = g.inverse()
         assert inv.coeffs == [1] * 7                # geometric series
+        assert inverse(g.coeffs) == [1] * 7
         assert (g * inv).is_constant(1)
         h = series([2, 3, F(1, 2)], 5)
         assert (h * h.inverse()).is_constant(1)
+        assert h.inverse().coeffs == inverse(h.coeffs)
 
     def test_inverse_requires_unit(self):
         with pytest.raises(ValueError):
@@ -47,13 +59,15 @@ class TestTruncatedSeries:
 
     def test_shift_and_eq(self):
         s = series([1, 2], 4)
-        assert s.shift(2).coeffs == [0, 0, 1, 2, 0]
+        assert shift(s.coeffs, 2) == [0, 0, 1, 2, 0]
+        assert shift(s.coeffs, 4) == [0, 0, 0, 0, 1]
         assert s == series([1, 2, 0], 4)
         assert s != series([1, 2], 5)
+        assert s != [1, 2, 0, 0, 0]
 
     def test_order_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            series([1], 3) + series([1], 4)
+        with pytest.raises(ValueError, match="orders differ"):
+            series([1], 3) * series([1], 4)
 
 
 def test_macdonald_n0_is_one():
@@ -80,8 +94,9 @@ def test_macdonald_hecke_recursion():
         sig = [lf.macdonald(alpha, 3, n, order=order) for n in range(12)]
         lam = alpha + F(1, 1) / alpha
         for n in range(1, 11):
-            rhs = (lam * sig[n]).shift(1) - sig[n - 1].shift(2)
-            assert sig[n + 1] == rhs
+            rhs = add(scale(lam, shift(sig[n].coeffs, 1)),
+                      scale(-1, shift(sig[n - 1].coeffs, 2)))
+            assert sig[n + 1].coeffs == rhs
 
 
 def test_macdonald_rejects_degenerate():
@@ -103,12 +118,9 @@ def test_local_A_integral_cases():
 def _integral_by_terms(D, p, alpha, lmax):
     # the defining sum, one Macdonald series per level l <= lmax, each
     # weighted by the congruence count A(D, p^l)
-    total = lf.TruncatedSeries.constant(0, lmax)
-    for l in range(lmax + 1):
-        count = arith.count_sqrt_prime_power(D, p, l)
-        if count:
-            total = total + count * lf.macdonald(alpha, p, l, order=lmax)
-    return total
+    counts = [(l, arith.count_sqrt_prime_power(D, p, l)) for l in range(lmax + 1)]
+    return add(*(scale(count, lf.macdonald(alpha, p, l, order=lmax).coeffs)
+                 for l, count in counts if count))
 
 
 def test_local_A_integral_matches_term_by_term_sum():
@@ -116,7 +128,7 @@ def test_local_A_integral_matches_term_by_term_sum():
     for D, p in places:
         for alpha in (2, F(3, 2), F(-7, 3), F(12345, 67891)):
             for lmax in range(31):
-                assert lf.local_A_integral(D, p, alpha, lmax) == \
+                assert lf.local_A_integral(D, p, alpha, lmax).coeffs == \
                     _integral_by_terms(D, p, alpha, lmax), (D, p, alpha, lmax)
 
 
@@ -151,64 +163,64 @@ def test_lfactor_building_blocks():
             * lf.lfactor_split(alpha, order))
     assert prod.is_constant(1)
     # adjoint factor matches its displayed denominator
-    den = (lf.TruncatedSeries.one_minus(alpha ** 2, 2, order)
-           * lf.TruncatedSeries.one_minus(1, 2, order)
-           * lf.TruncatedSeries.one_minus(alpha ** -2, 2, order))
-    assert (lf.lfactor_adjoint(alpha, order) * den).is_constant(1)
+    den = mul(one_minus(alpha ** 2, 2, order), one_minus(1, 2, order),
+              one_minus(alpha ** -2, 2, order))
+    assert mul(lf.lfactor_adjoint(alpha, order).coeffs, den) == one_minus(0, 0, order)
 
     # every L-factor times its docstring denominator is its docstring numerator
     for alpha in (2, F(3, 2), F(-7, 3), F(12345, 67891)):
         for order in (0, 1, 5, 17):
             def om(c, k):
-                return lf.TruncatedSeries.one_minus(c, k, order)
+                return one_minus(c, k, order)
 
-            one = lf.TruncatedSeries.constant(1, order)
+            one = om(0, 0)                  # 1 - 0 q^0 = 1
             a, b = alpha, 1 / F(alpha)
-            split_den = om(a, 1) * om(a, 1) * om(b, 1) * om(b, 1)
-            inert_den = om(a ** 2, 2) * om(b ** 2, 2)
-            adjoint_den = om(a ** 2, 2) * om(1, 2) * om(b ** 2, 2)
+            plus_q2 = om(-1, 2)
+            split_den = mul(om(a, 1), om(a, 1), om(b, 1), om(b, 1))
+            inert_den = mul(om(a ** 2, 2), om(b ** 2, 2))
+            adjoint_den = mul(om(a ** 2, 2), om(1, 2), om(b ** 2, 2))
             cases = [
                 (lf.lfactor_split, split_den, one),
                 (lf.lfactor_inert, inert_den, one),
                 (lf.lfactor_adjoint, adjoint_den, one),
-                (lf.lfactor_ratio_split, om(1, 4) * split_den, om(1, 2) * adjoint_den),
-                (lf.lfactor_ratio_inert, om(1, 4) * inert_den,
-                 one_plus_q2(order) * adjoint_den),
-                (lf.split_product_form, one_plus_q2(order) * om(a, 1) * om(b, 1),
-                 om(1, 2) * om(-a, 1) * om(-b, 1)),
+                (lf.lfactor_ratio_split, mul(om(1, 4), split_den),
+                 mul(om(1, 2), adjoint_den)),
+                (lf.lfactor_ratio_inert, mul(om(1, 4), inert_den),
+                 mul(plus_q2, adjoint_den)),
+                (lf.split_product_form, mul(plus_q2, om(a, 1), om(b, 1)),
+                 mul(om(1, 2), om(-a, 1), om(-b, 1))),
             ]
             for fn, den, num in cases:
-                assert fn(alpha, order) * den == num, (fn.__name__, alpha, order)
+                assert mul(fn(alpha, order).coeffs, den) == num, (fn.__name__, alpha, order)
 
 
 def _oracle_series(alpha, order):
-    # every function built from 1 - c q^k series and inverse alone, with
-    # the local integral as its defining sum over b = alpha, 1/alpha:
+    # every function built from 1 - c q^k series and the list oracle's
+    # inverse, with the local integral as its defining sum over
+    # b = alpha, 1/alpha:
     # 1/(1+q^2) sum_b c_b (1 - q^2/b^2)(1 + (c-1) b q)/(1 - b q)
     def om(c, k):
-        return lf.TruncatedSeries.one_minus(c, k, order)
+        return one_minus(c, k, order)
 
     a, b = alpha, 1 / alpha
-    split_den = om(a, 1) * om(a, 1) * om(b, 1) * om(b, 1)
-    inert_den = om(a ** 2, 2) * om(b ** 2, 2)
-    adjoint_den = om(a ** 2, 2) * om(1, 2) * om(b ** 2, 2)
-    plus_q2 = one_plus_q2(order)
+    split_den = mul(om(a, 1), om(a, 1), om(b, 1), om(b, 1))
+    inert_den = mul(om(a ** 2, 2), om(b ** 2, 2))
+    adjoint_den = mul(om(a ** 2, 2), om(1, 2), om(b ** 2, 2))
+    plus_q2 = om(-1, 2)
     out = {
-        "lfactor_split": split_den.inverse(),
-        "lfactor_inert": inert_den.inverse(),
-        "lfactor_adjoint": adjoint_den.inverse(),
-        "lfactor_ratio_split": om(1, 2) * adjoint_den * (om(1, 4) * split_den).inverse(),
-        "lfactor_ratio_inert": plus_q2 * adjoint_den * (om(1, 4) * inert_den).inverse(),
-        "split_product_form": (om(1, 2) * om(-a, 1) * om(-b, 1)
-                               * (plus_q2 * om(a, 1) * om(b, 1)).inverse()),
+        "lfactor_split": inverse(split_den),
+        "lfactor_inert": inverse(inert_den),
+        "lfactor_adjoint": inverse(adjoint_den),
+        "lfactor_ratio_split": mul(om(1, 2), adjoint_den, inverse(mul(om(1, 4), split_den))),
+        "lfactor_ratio_inert": mul(plus_q2, adjoint_den, inverse(mul(om(1, 4), inert_den))),
+        "split_product_form": mul(om(1, 2), om(-a, 1), om(-b, 1),
+                                  inverse(mul(plus_q2, om(a, 1), om(b, 1)))),
     }
     for D, p in LOCAL_PLACES:
         c = arith.count_sqrt_prime_power(D, p, 1)
-        total = lf.TruncatedSeries.constant(0, order)
-        for x, cx in ((a, 1 / (1 - b ** 2)), (b, 1 / (1 - a ** 2))):
-            total = total + (cx * om(1 / x ** 2, 2) * om((1 - c) * x, 1)
-                             * om(x, 1).inverse())
-        out[("local_A_integral", D, p)] = total * plus_q2.inverse()
+        total = add(*(scale(cx, mul(om(1 / x ** 2, 2), om((1 - c) * x, 1), inverse(om(x, 1))))
+                      for x, cx in ((a, 1 / (1 - b ** 2)), (b, 1 / (1 - a ** 2)))))
+        out[("local_A_integral", D, p)] = mul(total, inverse(plus_q2))
     return out
 
 
@@ -230,7 +242,7 @@ def test_local_functions_match_one_minus_oracle(alpha, order):
         else:
             name = key
             got = getattr(lf, name)(alpha, order)
-        assert got == want, (key, alpha, order)
+        assert got.coeffs == want, (key, alpha, order)
         assert all(type(c) is Fraction for c in got.coeffs), (name, alpha, order)
 
 
@@ -280,8 +292,12 @@ def test_verify_local_identities_suite():
 def test_verify_local_identities_stops_at_first_failure(monkeypatch):
     # a wrong split ratio at alpha = 5, the third default alpha
     real = lf.lfactor_ratio_split
-    monkeypatch.setattr(lf, "lfactor_ratio_split",
-                        lambda alpha, order: real(alpha, order) + (alpha == 5))
+
+    def wrong_at_5(alpha, order):
+        s = real(alpha, order).coeffs
+        return lf.TruncatedSeries([s[0] + (alpha == 5)] + s[1:], order)
+
+    monkeypatch.setattr(lf, "lfactor_ratio_split", wrong_at_5)
     rep = lf.verify_local_identities(order=10)
     assert rep["status"] == "fail"
     assert rep["cases_run"] == 3

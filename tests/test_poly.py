@@ -77,9 +77,3 @@ def test_expand_rejects_zero_constant_term():
     with pytest.raises(ValueError):
         poly.expand([1], [0, 1], 3)
 
-
-def test_trim():
-    assert poly.trim([0]) == [0]
-    assert poly.trim([0, 0, 0]) == [0]
-    assert poly.trim([1, 2, 0, 0]) == [1, 2]
-    assert poly.trim([0, 1]) == [0, 1]

@@ -183,7 +183,9 @@ def test_wmds_Z_examples():
     assert series.wmds_Z(2.0, 3.0, 1, [5]) == 5.0 ** -3
     two_terms = series.wmds_Z(2.0, 3.0, 2, [5])
     assert abs(two_terms - (5.0 ** -3 - 2.0 ** -2 * 5.0 ** -3)) < 1e-15
-    assert series.wmds_Z(2.0, 3.0, 100, []) == 0
+    # an empty Dset has no terms: rejected, not summed to 0
+    with pytest.raises(ValueError, match="must not be empty"):
+        series.wmds_Z(2.0, 3.0, 100, [])
     with pytest.raises(ValueError):
         series.wmds_Z(2.0, 3.0, 10, [8])
     with pytest.raises(ValueError, match="mmax must be in"):
