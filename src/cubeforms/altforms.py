@@ -7,7 +7,8 @@ from typing import NamedTuple
 
 from . import qforms
 from .qforms import Form
-from .report import CASES_CAP, run
+from .limits import CASES_CAP
+from .report import run
 
 
 class AltFormPair(NamedTuple):

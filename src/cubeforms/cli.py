@@ -3,20 +3,22 @@
 Exit codes: 0 success (or verification pass), 1 verification failure,
 2 invalid input, 3 internal error (a library postcondition failed).
 Data goes to stdout (JSON or CSV), diagnostics to stderr.
+
+Each handler imports its library module when it runs, so a process
+compiles only what its command calls: without bytecode caching, what it
+imports is what it compiles. Handlers call the library through module
+attributes, so a function patched on its module is the one that runs.
 """
 
 import argparse
-import csv
-import io
 import json
 import sys
-from fractions import Fraction
-
-from . import altforms, arith, cubes, localfactors, qforms, report, series
 
 
 def _jsonable(v):
-    if isinstance(v, Fraction):
+    # a Fraction exists only once fractions is loaded, so it is not imported here
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(v, fractions.Fraction):
         return f"{v.numerator}/{v.denominator}" if v.denominator != 1 else v.numerator
     if isinstance(v, complex):
         return {"re": v.real, "im": v.imag}
@@ -32,6 +34,9 @@ def _emit(record, fmt):
     if fmt == "json":
         print(json.dumps(record))
     else:
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         keys = list(record)
@@ -41,11 +46,21 @@ def _emit(record, fmt):
         sys.stdout.write(buf.getvalue())
 
 
+def _int_entry(text, what):
+    # for a ValueError argparse would name the parser function, not the entry
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{what} entry is not an integer: {text!r}") from None
+
+
 def _parse_cube(text):
     parts = text.split(",")
     if len(parts) != 8:
         raise argparse.ArgumentTypeError("cube literal needs 8 comma-separated integers")
-    return cubes.Cube(*(int(p) for p in parts))
+    entries = [_int_entry(p, "cube") for p in parts]
+    from . import cubes
+    return cubes.Cube(*entries)
 
 
 def _parse_complex(text):
@@ -56,11 +71,24 @@ def _parse_complex(text):
 
 
 def _parse_disc_list(text):
-    return [int(p) for p in text.split(",") if p.strip()]
+    return [_int_entry(p, "discriminant") for p in text.split(",") if p.strip()]
 
 
-def _construct(args):
-    A = cubes.construct_cube(args.disc, args.m, args.n, args.x, args.y)
+# handlers: each takes the parsed args and returns the record to print
+
+def _classnum(a):
+    from . import arith
+    return {"disc": a.disc, "h": arith.class_number(a.disc)}
+
+
+def _sqrtcount(a):
+    from . import arith
+    return {"d": a.d, "mod": a.mod, "count": arith.count_sqrt_mod(a.d, a.mod)}
+
+
+def _construct(a):
+    from . import cubes
+    A = cubes.construct_cube(a.disc, a.m, a.n, a.x, a.y)
     return {"cube": list(A),
             "Q1": list(cubes.qform(A, 1)),
             "Q2": list(cubes.qform(A, 2)),
@@ -68,14 +96,63 @@ def _construct(args):
             "disc": cubes.disc(A)}
 
 
-def _invariants(args):
-    t = cubes.invariant_tuple(args.cube)
+def _invariants(a):
+    from . import cubes
+    t = cubes.invariant_tuple(a.cube)
     return {"disc": t.D, "m": t.m, "n": t.n, "x": t.x, "y": t.y}
 
 
+def _orbits(a):
+    from . import cubes
+    return {"disc": a.disc, "m": a.m, "n": a.n,
+            "orbits": cubes.count_orbits(a.disc, a.m, a.n)}
+
+
+def _prop2(a):
+    from . import series
+    return series.verify_prop2(a.disc, a.limit)
+
+
+def _ptilde2(a):
+    from . import series
+    return series.verify_ptilde2(a.disc, a.lmax)
+
+
+def _composition(a):
+    from . import cubes
+    return cubes.verify_composition_law(a.disc)
+
+
+def _local(a):
+    from . import localfactors
+    return localfactors.verify_local_identities(order=a.order)
+
+
+def _fusion(a):
+    from . import altforms
+    return altforms.verify_fusion(seed=a.seed, cases=a.cases)
+
+
+def _characters(a):
+    from . import cubes
+    return cubes.verify_characters(seed=a.seed, cases=a.cases)
+
+
+def _shintani(a):
+    from . import series
+    return series.shintani_Z(a.s, a.w, a.amax, a.dmax)._asdict()
+
+
+def _wmds(a):
+    from . import series
+    return {"s": a.s, "w": a.w, "mmax": a.mmax, "dset": a.dset,
+            "value": series.wmds_Z(a.s, a.w, a.mmax, a.dset)}
+
+
 def build_parser():
-    """The command tree. Each leaf parser sets `run`, its handler: it takes
-    the parsed args and returns the record to print."""
+    """The command tree. Each leaf parser sets `run`, its handler."""
+    from . import limits
+
     ap = argparse.ArgumentParser(
         prog="cubeforms",
         description="Exact computations on quadratic forms, 2x2x2 cubes, "
@@ -85,18 +162,17 @@ def build_parser():
 
     p = sub.add_parser("classnum", help="class number of a negative fundamental discriminant")
     p.add_argument("--disc", type=int, required=True,
-                   help=f"|disc| at most {qforms.DISC_CAP}")
-    p.set_defaults(run=lambda a: {"disc": a.disc, "h": arith.class_number(a.disc)})
+                   help=f"|disc| at most {limits.DISC_CAP}")
+    p.set_defaults(run=_classnum)
 
     p = sub.add_parser("sqrtcount", help="A(d, a): solutions of x^2 = d (mod a)")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--mod", type=int, required=True)
-    p.set_defaults(run=lambda a: {"d": a.d, "mod": a.mod,
-                                  "count": arith.count_sqrt_mod(a.d, a.mod)})
+    p.set_defaults(run=_sqrtcount)
 
     pc = sub.add_parser("cube", help="cube operations")
     cs = pc.add_subparsers(dest="cube_command", required=True)
-    mn_help = f"nonzero, absolute value at most {cubes.MN_CAP}"
+    mn_help = f"nonzero, absolute value at most {limits.MN_CAP}"
     p = cs.add_parser("construct")
     for flag in ("--disc", "--m", "--n", "--x", "--y"):
         p.add_argument(flag, type=int, required=True,
@@ -110,34 +186,32 @@ def build_parser():
     for flag in ("--disc", "--m", "--n"):
         p.add_argument(flag, type=int, required=True,
                        help=mn_help if flag in ("--m", "--n") else None)
-    p.set_defaults(run=lambda a: {"disc": a.disc, "m": a.m, "n": a.n,
-                                  "orbits": cubes.count_orbits(a.disc, a.m, a.n)})
+    p.set_defaults(run=_orbits)
 
     pv = sub.add_parser("verify", help="verification suites")
     vs = pv.add_subparsers(dest="verify_command", required=True)
     p = vs.add_parser("prop2")
     p.add_argument("--disc", type=int, required=True)
     p.add_argument("--limit", type=int, default=5000,
-                   help=f"indices m checked, 1 to {series.N_CAP}")
-    p.set_defaults(run=lambda a: series.verify_prop2(a.disc, a.limit))
+                   help=f"indices m checked, 1 to {limits.N_CAP}")
+    p.set_defaults(run=_prop2)
     p = vs.add_parser("ptilde2")
     p.add_argument("--disc", type=int, required=True)
     p.add_argument("--lmax", type=int, default=6,
-                   help=f"levels checked modulo 2^(l+2), 0 to {series.LMAX_CAP}")
-    p.set_defaults(run=lambda a: series.verify_ptilde2(a.disc, a.lmax))
+                   help=f"levels checked modulo 2^(l+2), 0 to {limits.LMAX_CAP}")
+    p.set_defaults(run=_ptilde2)
     p = vs.add_parser("composition")
     p.add_argument("--disc", type=int, required=True)
-    p.set_defaults(run=lambda a: cubes.verify_composition_law(a.disc))
+    p.set_defaults(run=_composition)
     p = vs.add_parser("local")
     p.add_argument("--order", type=int, default=40,
-                   help=f"series truncation order, 0 to {localfactors.ORDER_CAP}")
-    p.set_defaults(run=lambda a: localfactors.verify_local_identities(order=a.order))
-    for name, suite in (("fusion", altforms.verify_fusion),
-                        ("characters", cubes.verify_characters)):
+                   help=f"series truncation order, 0 to {limits.ORDER_CAP}")
+    p.set_defaults(run=_local)
+    for name, handler in (("fusion", _fusion), ("characters", _characters)):
         p = vs.add_parser(name)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--cases", type=int, default=10000, help=f"at most {report.CASES_CAP}")
-        p.set_defaults(run=lambda a, suite=suite: suite(seed=a.seed, cases=a.cases))
+        p.add_argument("--cases", type=int, default=10000, help=f"at most {limits.CASES_CAP}")
+        p.set_defaults(run=handler)
 
     pz = sub.add_parser("zeta", help="truncated double-sum evaluation")
     zs = pz.add_subparsers(dest="zeta_command", required=True)
@@ -145,19 +219,18 @@ def build_parser():
     p.add_argument("--s", type=_parse_complex, required=True)
     p.add_argument("--w", type=_parse_complex, required=True)
     p.add_argument("--amax", type=int, default=100,
-                   help=f"at least 1, amax * dmax at most {series.SHINTANI_CAP}")
+                   help=f"at least 1, amax * dmax at most {limits.SHINTANI_CAP}")
     p.add_argument("--dmax", type=int, default=100,
-                   help=f"at least 1, amax * dmax at most {series.SHINTANI_CAP}")
-    p.set_defaults(run=lambda a: series.shintani_Z(a.s, a.w, a.amax, a.dmax)._asdict())
+                   help=f"at least 1, amax * dmax at most {limits.SHINTANI_CAP}")
+    p.set_defaults(run=_shintani)
     p = zs.add_parser("wmds")
     p.add_argument("--s", type=_parse_complex, required=True)
     p.add_argument("--w", type=_parse_complex, required=True)
     p.add_argument("--mmax", type=int, default=100,
-                   help=f"largest m summed, 1 to {series.N_CAP}")
+                   help=f"largest m summed, 1 to {limits.N_CAP}")
     p.add_argument("--dset", type=_parse_disc_list, required=True,
                    help="comma-separated odd discriminants")
-    p.set_defaults(run=lambda a: {"s": a.s, "w": a.w, "mmax": a.mmax, "dset": a.dset,
-                                  "value": series.wmds_Z(a.s, a.w, a.mmax, a.dset)})
+    p.set_defaults(run=_wmds)
 
     return ap
 

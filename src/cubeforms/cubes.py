@@ -12,7 +12,8 @@ from typing import NamedTuple
 
 from . import arith, qforms
 from .qforms import Form
-from .report import CASES_CAP, run
+from .limits import CASES_CAP, CLASS_CAP, MN_CAP
+from .report import run
 
 
 class Cube(NamedTuple):
@@ -41,14 +42,6 @@ class BorelElement(NamedTuple):
 
 
 ZERO = Cube(0, 0, 0, 0, 0, 0, 0, 0)
-
-# count_orbits factors 4m and 4n by trial division, once each; at
-# m = n = 999999999989, a prime, that takes about 0.13 s
-MN_CAP = 10 ** 12
-
-# verify_composition_law builds h^2 cubes, about 18 us each: about 3 s at
-# the cap on a 2-core VM (h = 398 at D = -60359)
-CLASS_CAP = 400
 
 # entry indices of (M, N) for each of the three slicings
 _SLICES = (

@@ -1,0 +1,33 @@
+"""Input bounds, the one place each lives. Every library module imports the
+caps it checks, and the CLI prints them in its help without importing the
+library. Times are on a 2-core VM.
+"""
+
+# enumerate_class_group takes about |D|/3 steps
+DISC_CAP = 10 ** 8
+
+# count_orbits factors 4m and 4n by trial division, once each; at
+# m = n = 999999999989, a prime, that takes about 0.13 s
+MN_CAP = 10 ** 12
+
+# verify_composition_law builds h^2 cubes, about 18 us each: about 3 s at
+# the cap (h = 398 at D = -60359)
+CLASS_CAP = 400
+
+# random cases per suite: at the cap about 35 s (characters), 1.5 s (fusion)
+CASES_CAP = 10 ** 5
+
+# verify_ptilde2 brute-forces modulo 2^(lmax + 2), so its time doubles per step
+LMAX_CAP = 20
+
+# coefficient vectors and their smallest-prime-factor table take O(N) memory
+N_CAP = 10**6
+
+# shintani_Z factors 4a once per a, then counts square roots modulo 4a twice
+# per pair (a, d): at the cap about 3 s for 1000 x 1000 and 16 s for amax = 10^6
+SHINTANI_CAP = 10**6
+
+# verify_local_identities expands each series to this order at most: about
+# 0.4 s at the cap (median of 10 runs, Python 3.11), and the cost grows
+# faster than the order
+ORDER_CAP = 1000

@@ -9,12 +9,8 @@ from functools import reduce
 from math import prod
 
 from . import arith, poly
+from .limits import ORDER_CAP
 from .report import run
-
-# verify_local_identities expands each series to this order at most: about
-# 0.4 s at the cap on a 2-core VM (median of 10 runs, Python 3.11), and the
-# cost grows faster than the order
-ORDER_CAP = 1000
 
 
 class TruncatedSeries:

@@ -7,9 +7,7 @@ from math import gcd, isqrt
 from typing import NamedTuple
 
 from . import arith
-
-# enumerate_class_group takes about |D|/3 steps
-DISC_CAP = 10 ** 8
+from .limits import DISC_CAP
 
 
 class Form(NamedTuple):

@@ -2,9 +2,6 @@
 
 import time
 
-# random cases per suite: at the cap about 35 s (characters), 1.5 s (fusion)
-CASES_CAP = 10 ** 5
-
 
 def report(suite, check, **extra):
     """Suite report with keys suite, status, cases_run, first_failure and

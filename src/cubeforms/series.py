@@ -10,17 +10,8 @@ from math import fsum
 from typing import NamedTuple
 
 from . import arith, poly
+from .limits import LMAX_CAP, N_CAP, SHINTANI_CAP
 from .report import report, run
-
-# verify_ptilde2 brute-forces modulo 2^(lmax + 2), so its time doubles per step
-LMAX_CAP = 20
-
-# coefficient vectors and their smallest-prime-factor table take O(N) memory
-N_CAP = 10**6
-
-# shintani_Z factors 4a once per a, then counts square roots modulo 4a twice
-# per pair (a, d): at the cap about 3 s for 1000 x 1000 and 16 s for amax = 10^6
-SHINTANI_CAP = 10**6
 
 
 def _require_odd_disc(D):
@@ -183,7 +174,11 @@ class TruncatedDoubleSum(NamedTuple):
 
 def _complex_fsum(terms):
     # correctly rounded: math.fsum over the real and the imaginary parts
-    out = complex(fsum(t.real for t in terms), fsum(t.imag for t in terms))
+    try:
+        out = complex(fsum(t.real for t in terms), fsum(t.imag for t in terms))
+    except ValueError:
+        # fsum refuses an inf and a -inf term, which overflowing products make
+        out = complex("nan")
     if not isfinite(out):
         raise OverflowError("the sum is not a finite float")
     return out

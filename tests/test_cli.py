@@ -1,11 +1,16 @@
+import ast
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from math import fsum
+from pathlib import Path
 
 import pytest
 
-from cubeforms import altforms, arith, cli, cubes, report, series
+from cubeforms import altforms, arith, cli, cubes, limits, series
 
 REPORT_KEYS = ["suite", "status", "cases_run", "first_failure", "elapsed_ms"]
 
@@ -146,6 +151,19 @@ def test_cube_invariants_bad_literal(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("cube", "invariants", "--cube=1,2,3,4,5,6,7,x"),
+     "argument --cube: cube entry is not an integer: 'x'"),
+    (("zeta", "wmds", "--s", "2", "--w", "2", "--dset", "5,x"),
+     "argument --dset: discriminant entry is not an integer: 'x'"),
+], ids=["cube", "dset"])
+def test_non_integer_entry_is_named(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err and "_parse" not in err
+
+
 def test_cube_orbits(capsys):
     code, out, _ = run(capsys, "cube", "orbits", "--disc", "-23",
                        "--m", "2", "--n", "3")
@@ -227,7 +245,7 @@ def test_verify_subcommands_pass(capsys):
     ("verify", "fusion", "--cases", "0"),
     ("verify", "fusion", "--cases", "-3"),
     ("verify", "characters", "--cases", "0"),
-    # above report.CASES_CAP: 10^8 cases would run for hours
+    # above limits.CASES_CAP: 10^8 cases would run for hours
     ("verify", "fusion", "--cases", "100001"),
     ("verify", "characters", "--cases", "100000000"),
     ("verify", "ptilde2", "--disc", "-23", "--lmax", "-1"),
@@ -242,13 +260,13 @@ def test_verify_subcommands_pass(capsys):
     ("zeta", "wmds", "--s", "2", "--w", "3", "--mmax", "0", "--dset", "5"),
     ("zeta", "wmds", "--s", "2", "--w", "3", "--mmax", "1000001", "--dset", "5"),
     ("classnum", "--disc", "-1000000000003"),
-    # |m|, |n| above cubes.MN_CAP: a prime near 10^18 would hang trial division
+    # |m|, |n| above limits.MN_CAP: a prime near 10^18 would hang trial division
     ("cube", "orbits", "--disc", "-23", "--m", "1000000000000000003",
      "--n", "1000000000000000003"),
     ("cube", "orbits", "--disc", "-23", "--m", "1", "--n", "-1000000000001"),
     ("cube", "construct", "--disc", "-4000000000003", "--m", "1000000000001",
      "--n", "1", "--x", "1", "--y", "1"),
-    # |D| above qforms.DISC_CAP: rejected before is_fundamental factors D
+    # |D| above limits.DISC_CAP: rejected before is_fundamental factors D
     ("verify", "composition", "--disc", "-1000000000000000003"),
 ], ids=" ".join)
 def test_out_of_range_sizes_rejected(capsys, argv):
@@ -265,8 +283,8 @@ def test_cases_cap_is_checked_before_any_case(monkeypatch):
     monkeypatch.setattr(cubes, "random_borel_element", no_case)
     monkeypatch.setattr(altforms, "fuse", no_case)
     for suite in (cubes.verify_characters, altforms.verify_fusion):
-        with pytest.raises(ValueError, match=f"at most {report.CASES_CAP}"):
-            suite(cases=report.CASES_CAP + 1)
+        with pytest.raises(ValueError, match=f"at most {limits.CASES_CAP}"):
+            suite(cases=limits.CASES_CAP + 1)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -277,6 +295,9 @@ def test_cases_cap_is_checked_before_any_case(monkeypatch):
     (("zeta", "shintani", "--s", "-160", "--w", "-160", "--amax", "10", "--dmax", "10"),
      "float range"),
     (("zeta", "wmds", "--s", "-300", "--w", "-10", "--mmax", "10", "--dset", "5,-23"),
+     "float range"),
+    # terms of both signs overflow to inf and -inf, which math.fsum refuses
+    (("zeta", "wmds", "--s", "-100", "--w", "-200", "--mmax", "10", "--dset", "5,-23"),
      "float range"),
     (("zeta", "shintani", "--s", "nan", "--w", "2"), "must be finite"),
     (("zeta", "shintani", "--s", "2", "--w", "inf"), "must be finite"),
@@ -324,3 +345,59 @@ def test_unknown_command(capsys):
 def test_missing_required_flag(capsys):
     code, _, _ = run(capsys, "classnum")
     assert code == 2
+
+
+def test_help_lists_every_command_and_each_bound(capsys):
+    for group in ((), ("cube",), ("verify",), ("zeta",)):
+        code, out, _ = run(capsys, *group, "--help")
+        assert code == 0
+        for argv in LEAVES:
+            if argv[:len(group)] == group:
+                assert argv[len(group)] in out, argv
+    bounds = (
+        (("classnum",), limits.DISC_CAP),
+        (("cube", "construct"), limits.MN_CAP),
+        (("cube", "orbits"), limits.MN_CAP),
+        (("verify", "prop2"), limits.N_CAP),
+        (("zeta", "wmds"), limits.N_CAP),
+        (("verify", "ptilde2"), limits.LMAX_CAP),
+        (("zeta", "shintani"), limits.SHINTANI_CAP),
+        (("verify", "local"), limits.ORDER_CAP),
+        (("verify", "fusion"), limits.CASES_CAP),
+        (("verify", "characters"), limits.CASES_CAP),
+    )
+    for argv, cap in bounds:
+        code, out, _ = run(capsys, *argv, "--help")
+        assert code == 0
+        assert str(cap) in out.split(), argv
+
+
+def in_fresh_interpreter(code):
+    """The last line `code` prints, as a Python literal, when it runs in a new
+    interpreter that defines loaded(): the cubeforms modules imported so far."""
+    prelude = ("import sys\n"
+               "def loaded():\n"
+               "    return sorted(n.split('.')[1] for n in sys.modules\n"
+               "                  if n.startswith('cubeforms.'))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", prelude + code], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
+def test_each_command_imports_only_its_own_modules():
+    # without bytecode caching a process compiles every module it imports
+    assert in_fresh_interpreter(
+        "import cubeforms\n"
+        "before = loaded()\n"
+        "print((before, cubeforms.arith.count_sqrt_mod(5, 4)))") == ([], 2)
+    # qforms still imports fractions, for HeegnerPoint
+    assert in_fresh_interpreter(
+        "from cubeforms import cli\n"
+        "cli.run(['classnum', '--disc', '-23'])\n"
+        "print((loaded(), 'fractions' in sys.modules))") == (
+            ["arith", "cli", "limits", "qforms"], True)
+    assert in_fresh_interpreter(
+        "from cubeforms import cli\n"
+        "cli.run(['verify', 'nosuch'])\n"
+        "print(loaded())") == ["cli", "limits"]
