@@ -2,7 +2,6 @@
 definite forms, Gauss composition, class-group enumeration, Heegner points.
 """
 
-from fractions import Fraction
 from math import gcd, isqrt
 from typing import NamedTuple
 
@@ -17,8 +16,9 @@ class Form(NamedTuple):
 
 
 class HeegnerPoint(NamedTuple):
-    re: Fraction
-    im_sq: Fraction
+    # fractions is imported only by heegner_point, so no other caller pays for it
+    re: "Fraction"
+    im_sq: "Fraction"
 
 
 def disc(Q):
@@ -152,6 +152,8 @@ def stabilizer_order(Q):
 
 def heegner_point(Q):
     """Upper half-plane root z = (-b + i sqrt(|D|)) / (2a), stored exactly."""
+    from fractions import Fraction
+
     a, b, _ = Q
     D = disc(Q)
     if D >= 0:

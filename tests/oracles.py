@@ -1,12 +1,13 @@
 """Reference constructions the tests check the library against: the
 slice matrices of a cube, projectivity read from the three associated
-forms, the 4x4 determinant by the Leibniz formula, and truncated power
-series as plain lists. The library itself needs none of them."""
+forms, the 4x4 determinant by the Leibniz formula, truncated power
+series as plain lists, and Prop. 2 by whole coefficient vectors. The
+library itself needs none of them."""
 
 from fractions import Fraction
 from itertools import permutations
 
-from cubeforms import cubes, qforms
+from cubeforms import cubes, qforms, series
 
 
 def slices(A):
@@ -92,3 +93,17 @@ def inverse(s):
     for k in range(len(s)):
         y.append((Fraction(k == 0) - sum(c * y[k - j] for j, c in tail if j <= k)) / s[0])
     return y
+
+
+# -- Prop. 2 by whole vectors --------------------------------------------------
+
+def prop2_entrywise(D, N):
+    """verify_prop2's report without elapsed_ms, from an entrywise comparison
+    of the two whole coefficient vectors: the first differing index m, with
+    the left entry expected and the right one actual."""
+    lhs, rhs = series.coeffs_A(D, N), series.coeffs_rhs(D, N)
+    m = next((m for m, (a, b) in enumerate(zip(lhs, rhs), 1) if a != b), None)
+    failure = None if m is None else {
+        "inputs": {"disc": D, "m": m}, "expected": lhs[m - 1], "actual": rhs[m - 1]}
+    return {"suite": "prop2", "status": "pass" if failure is None else "fail",
+            "cases_run": N, "first_failure": failure}

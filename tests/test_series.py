@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import fsum
 
 import pytest
@@ -5,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubeforms import arith, series
+
+import oracles
 
 # 405 = 3^4 5 and -1575 = -7 3^2 5^2: an even valuation with a non-residue
 # cofactor, so chi_D(p) = -1 at a prime whose square divides D
@@ -74,26 +77,90 @@ def test_coeffs_rhs_is_squarefree_convolution():
             assert rhs[m - 1] == 2 * total
 
 
+def _bumped_rhs(bumps):
+    """series._local_rhs with bumps[p, l] added to the local factor at p^l."""
+    real = series._local_rhs
+
+    def local_rhs(D):
+        local = real(D)
+
+        def bumped(p):
+            at = local(p)
+            return lambda l: at(l) + bumps.get((p, l), 0)
+
+        return bumped
+
+    return local_rhs
+
+
 def test_verify_prop2(monkeypatch):
     assert series.verify_prop2(-23, 300)["status"] == "pass"
     assert series.verify_prop2(5, 300)["status"] == "pass"
     rep = series.verify_prop2(-7, 1)
     assert rep["status"] == "pass" and rep["cases_run"] == 1
-    # a wrong right side: the report names the first differing index
-    real = series.coeffs_rhs
-
-    def coeffs_rhs(D, N):
-        out = real(D, N)
-        out[4] += 1
-        out[9] += 1
-        return out
-
-    monkeypatch.setattr(series, "coeffs_rhs", coeffs_rhs)
+    # a wrong right side's local factor at 5 and at 7: the report names the
+    # first differing index. Each entry is twice its local factors, so half
+    # a unit at p = 5 moves the entry at m = 5 by one
+    monkeypatch.setattr(series, "_local_rhs",
+                        _bumped_rhs({(5, 1): Fraction(1, 2), (7, 1): 1}))
     rep = series.verify_prop2(-23, 300)
     want = series.coeffs_A(-23, 5)[4]
     assert rep["status"] == "fail" and rep["cases_run"] == 300
     assert rep["first_failure"] == {"inputs": {"disc": -23, "m": 5},
                                     "expected": want, "actual": want + 1}
+
+
+def _without_elapsed(rep):
+    return {k: v for k, v in rep.items() if k != "elapsed_ms"}
+
+
+def test_verify_prop2_matches_the_entrywise_oracle():
+    # every odd discriminant |D| <= 400, 1 and -3 included
+    for D in range(-399, 401, 4):
+        for N in (1, 2, 3, 4, 8, 9, 16, 97, 300):
+            assert _without_elapsed(series.verify_prop2(D, N)) \
+                == oracles.prop2_entrywise(D, N), (D, N)
+
+
+# odd discriminants whose primes include 3, 5 and 7, some with p^2 | D;
+# -255255 = -3 5 7 11 13 17
+INJECTION_DISCS = (-3, 5, -15, 21, -23, -27, 45, -1575, 405, -255255)
+
+
+@st.composite
+def _injections(draw, D, N):
+    """One or two wrong prime-power values, (side, p, l, delta): on the
+    left at A(D, p^l), on the right at the local factor's value at p^l;
+    at p = 2, at an odd p with l >= 2, at a p dividing D, or at one of
+    the three largest primes up to N."""
+    primes = [p for p in range(2, N + 1) if arith.is_prime(p)]
+    at_p = st.one_of(
+        st.tuples(st.just(2), st.integers(0, 11)),
+        st.tuples(st.sampled_from((3, 5, 7, 11)), st.integers(2, 6)),
+        st.tuples(st.sampled_from(sorted(arith.factorize(abs(D)))), st.integers(1, 6)),
+        st.tuples(st.sampled_from(primes[-3:]), st.just(1)))
+    one = st.tuples(st.sampled_from(("left", "right")), at_p,
+                    st.sampled_from((-2, -1, 1, 2)))
+    return [(side, p, l, delta) for side, (p, l), delta
+            in draw(st.lists(one, min_size=1, max_size=2))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(INJECTION_DISCS), st.sampled_from((50, 97, 200, 1000)), st.data())
+def test_verify_prop2_names_the_oracles_first_failure(D, N, data):
+    bumps = {"left": {}, "right": {}}
+    for side, p, l, delta in data.draw(_injections(D, N)):
+        bumps[side][p, l] = bumps[side].get((p, l), 0) + delta
+    real_pp = arith._count_sqrt_pp
+
+    def count_sqrt_pp(d, p, l):
+        return real_pp(d, p, l) + bumps["left"].get((p, l), 0)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "_count_sqrt_pp", count_sqrt_pp)
+        mp.setattr(series, "_local_rhs", _bumped_rhs(bumps["right"]))
+        got = _without_elapsed(series.verify_prop2(D, N))
+        assert got == oracles.prop2_entrywise(D, N)
 
 
 def test_verify_prop2_nonfundamental_odd():
