@@ -4,6 +4,7 @@ double-Dirichlet-series coefficients, discriminant predicates, class numbers.
 All functions are pure and operate on plain Python integers.
 """
 
+from itertools import compress
 from math import gcd, isqrt
 
 # no composite below MR_LIMIT passes all 13 bases (Sorenson and Webster, 2015);
@@ -71,13 +72,31 @@ def factorize(n):
     return out
 
 
+def primes_upto(N):
+    """The primes p <= N in increasing order: a sieve of Eratosthenes on a
+    bytearray, one byte per integer up to N."""
+    if N < 2:
+        return []
+    sieve = bytearray([1]) * (N + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(N) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes((N - p * p) // p + 1)
+    return list(compress(range(N + 1), sieve))
+
+
 def smallest_prime_factors(N):
     """Table spf of length N + 1 with spf[n] the smallest prime factor of n
-    for 2 <= n <= N (spf[0] = 0, spf[1] = 1): a sieve of Eratosthenes,
-    O(N log log N). Walking n -> n // spf[n] factors every n <= N."""
-    spf = list(range(N + 1))
-    # largest prime first, so that the smallest prime dividing n writes last
-    for p in reversed([p for p in range(2, isqrt(N) + 1) if is_prime(p)]):
+    for 2 <= n <= N (spf[0] = 0, spf[1] = 1). Walking n -> n // spf[n]
+    factors every n <= N."""
+    spf = [0] * (N + 1)
+    if N >= 1:
+        spf[1] = 1
+    for p in primes_upto(N):
+        spf[p] = p
+    # the composites, largest prime first, so that the smallest prime
+    # dividing n writes last
+    for p in reversed(primes_upto(isqrt(N))):
         spf[p * p::p] = [p] * ((N - p * p) // p + 1)
     return spf
 

@@ -20,9 +20,9 @@ CASES_CAP = 10 ** 5
 # verify_ptilde2 brute-forces modulo 2^(lmax + 2), so its time doubles per step
 LMAX_CAP = 20
 
-# the smallest-prime-factor table takes O(N) memory, and zeta wmds builds a
-# coefficient vector beside it; verify prop2 builds only the table (about
-# 0.5 s and 61 MiB at the cap)
+# coeffs_A, coeffs_rhs and zeta wmds build a smallest-prime-factor table of
+# O(N) memory, and a coefficient vector beside it; verify prop2 sieves only
+# the primes, into an N-byte bytearray (about 0.45 s and 18 MiB at the cap)
 N_CAP = 10**6
 
 # shintani_Z factors 4a once per a, then counts square roots modulo 4a twice

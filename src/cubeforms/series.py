@@ -9,7 +9,7 @@ from contextlib import contextmanager
 from math import fsum
 from typing import NamedTuple
 
-from . import arith, poly
+from . import arith
 from .limits import LMAX_CAP, N_CAP, SHINTANI_CAP
 from .report import report, run
 
@@ -26,7 +26,7 @@ def _require_size(name, N):
 
 def _multiplicative(spf, local):
     # [f(1), ..., f(N)] for N = len(spf) - 1 and the multiplicative f with
-    # f(p^l) = local(p)(l): f(m) = f(p^l) f(m / p^l) for p = spf[m], p^l || m
+    # f(p^l) = local(p, l): f(m) = f(p^l) f(m / p^l) for p = spf[m], p^l || m
     N = len(spf) - 1
     f = [1] * (N + 1)
     part = [1] * (N + 1)            # part[m] = p^l
@@ -37,19 +37,17 @@ def _multiplicative(spf, local):
         if pp != m:
             f[m] = f[pp] * f[m // pp]
         elif q == 1:                # m = p is prime: fill in p, p^2, ... <= N
-            at = local(p)
             pl, l = p, 1
             while pl <= N:
-                f[pl] = at(l)
+                f[pl] = local(p, l)
                 pl, l = pl * p, l + 1
     return f[1:]
 
 
 def _local_A(D):
-    # local(p) for coeffs_A: 4m has two more factors of 2 than m
-    def local(p):
-        shift = 2 if p == 2 else 0
-        return lambda l: arith._count_sqrt_pp(D, p, l + shift)
+    # local(p, l) for coeffs_A: 4m has two more factors of 2 than m
+    def local(p, l):
+        return arith._count_sqrt_pp(D, p, l + 2 if p == 2 else l)
 
     return local
 
@@ -70,29 +68,28 @@ def coeffs_A(D, N):
 
 
 def _chihat_a(D):
-    # local(p) for the multiplicative chi_D(m^) a(D, m): chi_D is completely
+    # local(p, l) for the multiplicative chi_D(m^) a(D, m): chi_D is completely
     # multiplicative and m^ drops the primes of d0, which are those of odd
     # k = v_p(D), so p | d0 contributes a(D, p^l) alone. For even k,
     # chi_D(p) = (D p^-k / p): D = d0 f^2 with f odd, so D p^-k is d0 times
     # a square prime to p, and D = d0 (mod 8) settles p = 2. D is never
     # factored.
-    def local(p):
+    def local(p, l):
         k = arith.valuation(D, p)
         chi = 1 if k % 2 else arith.kronecker(D // p ** k, p)
-        return lambda l: chi ** l * arith._a_pp(p, k, l)
+        return chi ** l * arith._a_pp(p, k, l)
 
     return local
 
 
 def _local_rhs(D):
-    # local(p) for coeffs_rhs over 2: zeta(s)/zeta(2s) has local factor
+    # local(p, l) for coeffs_rhs over 2: zeta(s)/zeta(2s) has local factor
     # 1 + p^-s, so the value at p^l is g(p^l) + g(p^(l-1)) for the
     # character-weighted g(m) = chi_D(m^) a(D, m), and g(p^0) = g(1) = 1
-    chihat_a = _chihat_a(D)
+    g = _chihat_a(D)
 
-    def local(p):
-        g = chihat_a(p)
-        return lambda l: g(l) + (g(l - 1) if l > 1 else 1)
+    def local(p, l):
+        return g(p, l) + (g(p, l - 1) if l > 1 else 1)
 
     return local
 
@@ -115,7 +112,8 @@ def verify_prop2(D, N):
     Euler products, so if they agree at 1 and at every prime power
     p^l <= N they agree at every m <= N, and the first m where they differ
     is 1 or a prime power. The failure names it with the two vector
-    entries there; cases_run is N, every index decided.
+    entries there; cases_run is N, every index decided. Only the primes
+    up to N are sieved, with no smallest-prime-factor table.
     """
     _require_size("N", N)
     _require_odd_disc(D)
@@ -124,16 +122,14 @@ def verify_prop2(D, N):
         a4 = arith._count_sqrt_pp(D, 2, 2)
         # the smallest differing m so far (N + 1 for none) and its two entries
         m, lhs, rhs = (1, a4, 2) if a4 != 2 else (N + 1, None, None)
-        spf = arith.smallest_prime_factors(N)
         local_A, local_rhs = _local_A(D), _local_rhs(D)
-        for p in [p for p in range(2, N + 1) if spf[p] == p]:
+        for p in arith.primes_upto(N):
             if p >= m:
                 break
-            at_A, at_rhs = local_A(p), local_rhs(p)
             carry = 1 if p == 2 else a4      # odd m carry A(D, 4)
             pl, l = p, 1
             while pl < m:
-                left, right = carry * at_A(l), 2 * at_rhs(l)
+                left, right = carry * local_A(p, l), 2 * local_rhs(p, l)
                 if left != right:
                     m, lhs, rhs = pl, left, right
                 pl, l = pl * p, l + 1
@@ -158,6 +154,8 @@ def verify_ptilde2(D, lmax):
 
 
 def _ptilde2_cases(D, lmax):
+    from . import poly
+
     a4 = arith.count_sqrt_brute(D, 4)
     want_a4 = 2 if D % 8 in (1, 5) else 0
     yield None if a4 == want_a4 else {

@@ -141,6 +141,24 @@ def test_is_prime_refuses_from_the_mr_limit_on():
 
 
 @settings(max_examples=300, deadline=None)
+@given(st.integers(0, 20000))
+def test_primes_upto_matches_sympy(N):
+    assert arith.primes_upto(N) == list(sympy.primerange(N + 1))
+
+
+def test_primes_upto_edges():
+    want = {0: [], 1: [], 2: [2], 3: [2, 3], 4: [2, 3], 9: [2, 3, 5, 7]}
+    for N, primes in want.items():
+        assert arith.primes_upto(N) == primes, N
+    # the square of a prime is the first composite it crosses out, so N at
+    # p^2 or just past it is where an off-by-one bound would let it through
+    for N in (25, 49, 127 ** 2, 127 ** 2 + 1):
+        primes = arith.primes_upto(N)
+        assert primes == list(sympy.primerange(N + 1)), N
+        assert primes[-1] == sympy.prevprime(N), N
+
+
+@settings(max_examples=300, deadline=None)
 @given(st.integers(-10 ** 4, 10 ** 4), st.integers(1, 5000))
 @example(5, 1)
 @example(0, 4096)

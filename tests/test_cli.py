@@ -397,6 +397,12 @@ def test_each_command_imports_only_its_own_modules():
         "cli.run(['classnum', '--disc', '-23'])\n"
         "print((loaded(), 'fractions' not in sys.modules))") == (
             ["arith", "cli", "limits", "qforms"], True)
+    # series imports poly only for verify ptilde2, so prop2 loads no fractions
+    assert in_fresh_interpreter(
+        "from cubeforms import cli\n"
+        "cli.run(['verify', 'prop2', '--disc', '-23', '--limit', '100'])\n"
+        "print((loaded(), 'fractions' not in sys.modules))") == (
+            ["arith", "cli", "limits", "report", "series"], True)
     assert in_fresh_interpreter(
         "from cubeforms import cli\n"
         "cli.run(['verify', 'nosuch'])\n"

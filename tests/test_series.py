@@ -44,6 +44,12 @@ SPF_SIZE = 20000
 SPF = arith.smallest_prime_factors(SPF_SIZE)
 
 
+def test_smallest_prime_factor_table_small_sizes():
+    # spf[0] = 0 and spf[1] = 1 are placeholders, not factors
+    assert [arith.smallest_prime_factors(N) for N in (0, 1, 2, 3)] == [
+        [0], [0, 1], [0, 1, 2], [0, 1, 2, 3]]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, SPF_SIZE))
 def test_smallest_prime_factor_table_factors(n):
@@ -56,6 +62,8 @@ def test_smallest_prime_factor_table_factors(n):
         table[p] = table.get(p, 0) + 1
         m //= p
     assert table == arith.factorize(n) == sympy.factorint(n)
+    # spf[n] is the smallest prime factor, not just one of them
+    assert n == 1 or SPF[n] == min(table)
 
 
 def test_coeffs_rhs_examples():
@@ -83,12 +91,7 @@ def _bumped_rhs(bumps):
 
     def local_rhs(D):
         local = real(D)
-
-        def bumped(p):
-            at = local(p)
-            return lambda l: at(l) + bumps.get((p, l), 0)
-
-        return bumped
+        return lambda p, l: local(p, l) + bumps.get((p, l), 0)
 
     return local_rhs
 
@@ -161,6 +164,19 @@ def test_verify_prop2_names_the_oracles_first_failure(D, N, data):
         mp.setattr(series, "_local_rhs", _bumped_rhs(bumps["right"]))
         got = _without_elapsed(series.verify_prop2(D, N))
         assert got == oracles.prop2_entrywise(D, N)
+
+
+def test_verify_prop2_builds_no_smallest_prime_factor_table(monkeypatch):
+    # it sieves the primes up to N only: the report is the oracle's, which
+    # builds both vectors from the table, with the table unavailable
+    cases = [(D, 1000) for D in (-23, -255255)]
+    want = [oracles.prop2_entrywise(D, N) for D, N in cases]
+
+    def sieve(N):
+        raise AssertionError("verify_prop2 built a smallest-prime-factor table")
+
+    monkeypatch.setattr(arith, "smallest_prime_factors", sieve)
+    assert [_without_elapsed(series.verify_prop2(D, N)) for D, N in cases] == want
 
 
 def test_verify_prop2_nonfundamental_odd():
