@@ -74,15 +74,20 @@ def factorize(n):
 
 def primes_upto(N):
     """The primes p <= N in increasing order: a sieve of Eratosthenes on a
-    bytearray, one byte per integer up to N."""
+    bytearray, one byte per odd integer up to N."""
     if N < 2:
         return []
-    sieve = bytearray([1]) * (N + 1)
-    sieve[:2] = b"\0\0"
-    for p in range(2, isqrt(N) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = bytes((N - p * p) // p + 1)
-    return list(compress(range(N + 1), sieve))
+    # sieve[i] stands for 2i + 1; an odd p crosses out its odd multiples
+    # from p^2 on, which are 2p apart, so p indices apart
+    size = (N + 1) // 2
+    sieve = bytearray([1]) * size
+    sieve[0] = 0
+    for i in range(1, (isqrt(N) - 1) // 2 + 1):
+        if sieve[i]:
+            p = 2 * i + 1
+            start = p * p // 2
+            sieve[start::p] = bytes(len(range(start, size, p)))
+    return [2, *compress(range(1, N + 1, 2), sieve)]
 
 
 def smallest_prime_factors(N):
@@ -164,6 +169,8 @@ def _count_sqrt_pp(d, p, l):
     if l == 0:
         return 1
     d %= p ** l
+    if d % p:
+        return _count_unit_sqrt(d, p, l)
     if d == 0:
         return p ** (l // 2)
     k = valuation(d, p)

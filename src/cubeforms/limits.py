@@ -22,7 +22,8 @@ LMAX_CAP = 20
 
 # coeffs_A, coeffs_rhs and zeta wmds build a smallest-prime-factor table of
 # O(N) memory, and a coefficient vector beside it; verify prop2 sieves only
-# the primes, into an N-byte bytearray (about 0.45 s and 18 MiB at the cap)
+# the primes, into a bytearray of one byte per odd integer (about 0.5 s and
+# 18 MiB at the cap)
 N_CAP = 10**6
 
 # shintani_Z factors 4a once per a, then counts square roots modulo 4a twice

@@ -67,17 +67,28 @@ def coeffs_A(D, N):
     return out
 
 
-def _chihat_a(D):
-    # local(p, l) for the multiplicative chi_D(m^) a(D, m): chi_D is completely
-    # multiplicative and m^ drops the primes of d0, which are those of odd
-    # k = v_p(D), so p | d0 contributes a(D, p^l) alone. For even k,
-    # chi_D(p) = (D p^-k / p): D = d0 f^2 with f odd, so D p^-k is d0 times
-    # a square prime to p, and D = d0 (mod 8) settles p = 2. D is never
+def _local_char(D, p):
+    # (k, chi) with k = v_p(D), for chi_D(m^) a(D, m) = chi^l a(D, p^l) at
+    # m = p^l: chi_D is completely multiplicative and m^ drops the primes of
+    # d0, which are those of odd k, so chi = 1 there. For even k,
+    # chi = chi_D(p) = (D p^-k / p): D = d0 f^2 with f odd, so D p^-k is d0
+    # times a square prime to p, and D = d0 (mod 8) settles p = 2. D is never
     # factored.
+    if D % p:
+        return 0, arith.kronecker(D, p)
+    k = arith.valuation(D, p)
+    return k, 1 if k % 2 else arith.kronecker(D // p ** k, p)
+
+
+def _weighted(p, l, k, chi):
+    # chi^l a(D, p^l) for p^k || D; a(D, p^l) = 1 when p does not divide D
+    return chi ** l * arith._a_pp(p, k, l) if k else chi ** l
+
+
+def _chihat_a(D):
+    # local(p, l) for the multiplicative chi_D(m^) a(D, m)
     def local(p, l):
-        k = arith.valuation(D, p)
-        chi = 1 if k % 2 else arith.kronecker(D // p ** k, p)
-        return chi ** l * arith._a_pp(p, k, l)
+        return _weighted(p, l, *_local_char(D, p))
 
     return local
 
@@ -85,11 +96,11 @@ def _chihat_a(D):
 def _local_rhs(D):
     # local(p, l) for coeffs_rhs over 2: zeta(s)/zeta(2s) has local factor
     # 1 + p^-s, so the value at p^l is g(p^l) + g(p^(l-1)) for the
-    # character-weighted g(m) = chi_D(m^) a(D, m), and g(p^0) = g(1) = 1
-    g = _chihat_a(D)
-
+    # character-weighted g(m) = chi_D(m^) a(D, m), and g(p^0) = g(1) = 1.
+    # Both terms share one k and one chi
     def local(p, l):
-        return g(p, l) + (g(p, l - 1) if l > 1 else 1)
+        k, chi = _local_char(D, p)
+        return _weighted(p, l, k, chi) + _weighted(p, l - 1, k, chi)
 
     return local
 

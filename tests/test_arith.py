@@ -63,6 +63,20 @@ def test_prime_power_against_brute_force_sample():
         assert arith.count_sqrt_prime_power(d, p, l) == arith.count_sqrt_brute(d, p ** l)
 
 
+def test_count_sqrt_pp_every_residue():
+    # every residue d mod p^l up to 729, and d shifted by -p^l and +p^l:
+    # the unit case, p | d with even and odd valuation, d = 0, and p = 2,
+    # which count_sqrt_prime_power refuses
+    for p in (2, 3, 5, 7):
+        pl, l = p, 1
+        while pl <= 729:
+            for d in range(pl):
+                want = arith.count_sqrt_brute(d, pl)
+                for shifted in (d - pl, d, d + pl):
+                    assert arith._count_sqrt_pp(shifted, p, l) == want, (shifted, p, l)
+            pl, l = pl * p, l + 1
+
+
 def test_kronecker_examples():
     # (-7/2) = 1 since -7 = 1 (mod 8); cross-check: -7 is a square mod 8
     assert arith.kronecker(-7, 2) == 1
@@ -150,12 +164,17 @@ def test_primes_upto_edges():
     want = {0: [], 1: [], 2: [2], 3: [2, 3], 4: [2, 3], 9: [2, 3, 5, 7]}
     for N, primes in want.items():
         assert arith.primes_upto(N) == primes, N
+    for N in range(51):
+        assert arith.primes_upto(N) == list(sympy.primerange(N + 1)), N
     # the square of a prime is the first composite it crosses out, so N at
-    # p^2 or just past it is where an off-by-one bound would let it through
-    for N in (25, 49, 127 ** 2, 127 ** 2 + 1):
-        primes = arith.primes_upto(N)
-        assert primes == list(sympy.primerange(N + 1)), N
-        assert primes[-1] == sympy.prevprime(N), N
+    # p^2 or just either side of it is where an off-by-one bound on the
+    # sieving primes or on the odd-only index range would show
+    for p in (3, 5, 7, 11, 127):
+        for N in (p * p - 1, p * p, p * p + 1):
+            primes = arith.primes_upto(N)
+            assert primes == list(sympy.primerange(N + 1)), N
+            assert primes[-1] == sympy.prevprime(N + 1), N
+    assert len(arith.primes_upto(10 ** 6)) == 78498
 
 
 @settings(max_examples=300, deadline=None)

@@ -179,6 +179,47 @@ def test_verify_prop2_builds_no_smallest_prime_factor_table(monkeypatch):
     assert [_without_elapsed(series.verify_prop2(D, N)) for D, N in cases] == want
 
 
+def test_local_factors_match_the_definition():
+    # -207 = -23 3^2 and 45 = 3^2 5 give p | D with even and with odd k;
+    # -255255 = -3 5 7 11 13 17 gives six primes with k = 1
+    for D in (-23, -207, 45, -255255):
+        chihat_a, local_rhs = series._chihat_a(D), series._local_rhs(D)
+
+        def g(m):
+            return arith.field_character(D, arith.m_hat(D, m)) * arith.wmds_coeff(D, m)
+
+        for p in arith.primes_upto(2000):
+            pl, l = p, 1
+            while pl <= 2000:
+                assert chihat_a(p, l) == g(pl), (D, p, l)
+                assert local_rhs(p, l) == g(pl) + g(pl // p), (D, p, l)
+                pl, l = pl * p, l + 1
+
+
+def test_verify_prop2_reads_chi_once_per_prime_power(monkeypatch):
+    # the right side's two terms at p^l share one chi_D(p), so kronecker
+    # runs once per p^l <= N with p prime to D (D squarefree, so no
+    # kronecker at p | D)
+    import sympy
+
+    calls = []
+    real = arith.kronecker
+
+    def kronecker(D, n):
+        calls.append(n)
+        return real(D, n)
+
+    monkeypatch.setattr(arith, "kronecker", kronecker)
+    N = 16000
+    for D, want in ((-23, 1918), (-255255, 1893)):
+        calls.clear()
+        assert series.verify_prop2(D, N)["status"] == "pass"
+        # each p prime to D, once per power p^l <= N
+        per_power = [p for p in sympy.primerange(N + 1) if D % p
+                     for l in range(1, N.bit_length()) if p ** l <= N]
+        assert sorted(calls) == per_power and len(per_power) == want, D
+
+
 def test_verify_prop2_nonfundamental_odd():
     # holds for any odd discriminant, squarefree or not
     for D in (45, 117, -27, -75, 225):
