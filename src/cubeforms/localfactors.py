@@ -118,6 +118,9 @@ def local_A_integral(D, p, alpha, lmax):
     return _ratio([num], [[1, 0, 1], [v, -u], [u, -v]], lmax)
 
 
+# The L-factors' denominators at a = u/v: L_p(1/2, pi_E) is 1/[(1-aq)(1-q/a)]^2
+# at a split place and 1/[(1-a^2 q^2)(1-q^2/a^2)] at an inert one, and
+# L_p(1, Ad) is 1/[(1-a^2 q^2)(1-q^2)(1-q^2/a^2)].
 def _split_den(u, v):
     return [[v, -u]] * 2 + [[u, -v]] * 2
 
@@ -128,21 +131,6 @@ def _inert_den(u, v):
 
 def _adjoint_den(u, v):
     return [[v * v, 0, -u * u], [1, 0, -1], [u * u, 0, -v * v]]
-
-
-def lfactor_split(alpha, order):
-    """Base change L_p(1/2, pi_E) at a split place: [(1-aq)(1-q/a)]^-2."""
-    return _ratio([], _split_den(*_check_alpha(alpha)), order)
-
-
-def lfactor_inert(alpha, order):
-    """Base change L_p(1/2, pi_E) at an inert place: [(1-a^2 q^2)(1-a^-2 q^2)]^-1."""
-    return _ratio([], _inert_den(*_check_alpha(alpha)), order)
-
-
-def lfactor_adjoint(alpha, order):
-    """L_p(1, Ad) = [(1-a^2 q^2)(1-q^2)(1-a^-2 q^2)]^-1."""
-    return _ratio([], _adjoint_den(*_check_alpha(alpha)), order)
 
 
 def lfactor_ratio_split(alpha, order):

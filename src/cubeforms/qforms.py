@@ -1,5 +1,5 @@
 """Binary quadratic forms au^2 + buv + cv^2: SL2 action, reduction of
-definite forms, Gauss composition, class-group enumeration, Heegner points.
+definite forms, Gauss composition, class-group enumeration.
 """
 
 from math import gcd, isqrt
@@ -13,12 +13,6 @@ class Form(NamedTuple):
     a: int
     b: int
     c: int
-
-
-class HeegnerPoint(NamedTuple):
-    # fractions is imported only by heegner_point, so no other caller pays for it
-    re: "Fraction"
-    im_sq: "Fraction"
 
 
 def disc(Q):
@@ -77,11 +71,6 @@ def principal_form(D):
     return Form(1, 0, -D // 4)
 
 
-def inverse(Q):
-    a, b, c = Q
-    return reduce(Form(a, -b, c))
-
-
 def _xgcd(a, b):
     old_r, r = a, b
     old_s, s = 1, 0
@@ -138,26 +127,3 @@ def enumerate_class_group(D):
                 if (a < c or a == c and b >= 0) and gcd(gcd(a, b), c) == 1:
                     out.append(Form(a, b, c))
     return out
-
-
-def stabilizer_order(Q):
-    """Order of the SL2 stabilizer modulo +-1 (3 for disc -3, 2 for -4)."""
-    D = disc(Q)
-    if D == -3:
-        return 3
-    if D == -4:
-        return 2
-    return 1
-
-
-def heegner_point(Q):
-    """Upper half-plane root z = (-b + i sqrt(|D|)) / (2a), stored exactly."""
-    from fractions import Fraction
-
-    a, b, _ = Q
-    D = disc(Q)
-    if D >= 0:
-        raise ValueError("only definite forms")
-    if a <= 0:
-        raise ValueError("leading coefficient must be positive")
-    return HeegnerPoint(Fraction(-b, 2 * a), Fraction(-D, 4 * a * a))

@@ -1,8 +1,8 @@
 """Reference constructions the tests check the library against: the
 slice matrices of a cube, projectivity read from the three associated
-forms, the 4x4 determinant by the Leibniz formula, truncated power
-series as plain lists, and Prop. 2 by whole coefficient vectors. The
-library itself needs none of them."""
+forms, the 4x4 determinant by the Leibniz formula, the stabilizer order
+of a form, truncated power series as plain lists, and Prop. 2 by whole
+coefficient vectors. The library itself needs none of them."""
 
 from fractions import Fraction
 from itertools import permutations
@@ -44,6 +44,16 @@ def det4(M):
             p *= M[i][j]
         total += p
     return total
+
+
+def stabilizer_order(Q):
+    """Order of the SL2 stabilizer modulo +-1 (3 for disc -3, 2 for -4)."""
+    D = qforms.disc(Q)
+    if D == -3:
+        return 3
+    if D == -4:
+        return 2
+    return 1
 
 
 # -- truncated power series: lists of the coefficients of q^0 .. q^order ----

@@ -391,7 +391,7 @@ def test_each_command_imports_only_its_own_modules():
         "import cubeforms\n"
         "before = loaded()\n"
         "print((before, cubeforms.arith.count_sqrt_mod(5, 4)))") == ([], 2)
-    # qforms imports fractions only inside heegner_point, which classnum never calls
+    # qforms never imports fractions, so classnum loads none
     assert in_fresh_interpreter(
         "from cubeforms import cli\n"
         "cli.run(['classnum', '--disc', '-23'])\n"
