@@ -179,21 +179,16 @@ def _count_sqrt_pp(d, p, l):
     return p ** (k // 2) * _count_unit_sqrt(d // p ** k, p, l - k)
 
 
-def _count_sqrt_factored(d, factors):
-    # A(d, a) for a with factorization {p: l}: the product over p^l || a
-    out = 1
-    for p, l in factors.items():
-        out *= _count_sqrt_pp(d, p, l)
-        if out == 0:
-            return 0
-    return out
-
-
 def count_sqrt_mod(d, a):
     """A(d, a) = #{x mod a : x^2 = d (mod a)}, by CRT over prime powers."""
     if a < 1:
         raise ValueError("modulus must be positive")
-    return _count_sqrt_factored(d, factorize(a))
+    out = 1
+    for p, l in factorize(a).items():
+        out *= _count_sqrt_pp(d, p, l)
+        if out == 0:
+            return 0
+    return out
 
 
 def count_sqrt_prime_power(d, p, l):

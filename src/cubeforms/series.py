@@ -45,7 +45,8 @@ def _multiplicative(spf, local):
 
 
 def _local_A(D):
-    # local(p, l) for coeffs_A: 4m has two more factors of 2 than m
+    # local(p, l) for _row_A (coeffs_A, shintani_Z) and verify_prop2: 4m has
+    # two more factors of 2 than m
     def local(p, l):
         return arith._count_sqrt_pp(D, p, l + 2 if p == 2 else l)
 
@@ -61,7 +62,12 @@ def coeffs_A(D, N):
     """
     _require_odd_disc(D)
     _require_size("N", N)
-    out = _multiplicative(arith.smallest_prime_factors(N), _local_A(D))
+    return _row_A(arith.smallest_prime_factors(N), D)
+
+
+def _row_A(spf, D):
+    # [A(D, 4m) for m = 1..len(spf) - 1], any integer D: odd m carry A(D, 4)
+    out = _multiplicative(spf, _local_A(D))
     a4 = arith._count_sqrt_pp(D, 2, 2)
     out[::2] = [a4 * v for v in out[::2]]
     return out
@@ -234,17 +240,15 @@ def shintani_Z(s, w, amax, dmax):
         raise ValueError("amax and dmax must be at least 1")
     if amax * dmax > SHINTANI_CAP:
         raise ValueError(f"amax * dmax must be at most {SHINTANI_CAP}")
-    # fsum is correctly rounded, so the order of the terms does not matter
-    terms = {1: [], -1: []}
+    # fsum is correctly rounded, so the order of the terms does not matter. One
+    # row a -> A(±d, 4a) per ±d, none at ±d = 2, 3 (mod 4), which is no square
+    # mod 4; xi1 is summed before the terms of xi2 are built
     with _float_sum(s, w):
-        for a in range(1, amax + 1):
-            factors = arith.factorize(4 * a)
-            for d in range(1, dmax + 1):
-                for sign, out in terms.items():
-                    cnt = arith._count_sqrt_factored(sign * d, factors)
-                    if cnt:
-                        out.append(cnt * a ** (-s) * d ** (-w))
-        xi1, xi2 = _complex_fsum(terms[1]), _complex_fsum(terms[-1])
+        spf = arith.smallest_prime_factors(amax)
+        xi1, xi2 = (_complex_fsum([cnt * a ** (-s) * d ** (-w)
+                                   for d in range(1, dmax + 1) if sign * d % 4 < 2
+                                   for a, cnt in enumerate(_row_A(spf, sign * d), 1) if cnt])
+                    for sign in (1, -1))
         # fsum of two floats is their sum, checked to be finite
         return TruncatedDoubleSum(s, w, amax, dmax, _complex_fsum([xi1, xi2]), xi1, xi2)
 

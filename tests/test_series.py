@@ -267,8 +267,12 @@ def test_shintani_Z_monotone_in_cutoffs():
 
 def test_shintani_Z_matches_per_pair_count():
     # reference: one count_sqrt_mod per (sign, a, d), factoring 4a every time
+    # thin shapes build one short row per discriminant; the wide ones build
+    # rows of 300, at d = 0 (mod 4) too: ±4, ±8, ±12 and ±16 at dmax = 17
     for s, w, amax, dmax in ((2.0, 2.0, 1, 1), (2.0, 3.0, 37, 23),
-                             (complex(1.5, 2.0), complex(0.7, -1.3), 30, 41)):
+                             (complex(1.5, 2.0), complex(0.7, -1.3), 30, 41),
+                             (2.0, 2.0, 1, 300), (3.0, complex(1.5, -0.5), 2, 150),
+                             (complex(2.5, 1.0), 2.0, 300, 2), (2.0, 1.5, 300, 17)):
         xi = []
         for sign in (1, -1):
             terms = []
@@ -280,6 +284,29 @@ def test_shintani_Z_matches_per_pair_count():
             xi.append(complex(fsum(t.real for t in terms), fsum(t.imag for t in terms)))
         want = (s, w, amax, dmax, xi[0] + xi[1], xi[0], xi[1])
         assert tuple(series.shintani_Z(s, w, amax, dmax)) == want
+
+
+def test_shintani_Z_sieves_once_and_factors_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("factored or counted one pair at a time")
+
+    real, built = arith.smallest_prime_factors, []
+
+    def sieve(N):
+        built.append(N)
+        return real(N)
+
+    monkeypatch.setattr(arith, "factorize", refuse)
+    monkeypatch.setattr(arith, "count_sqrt_mod", refuse)
+    monkeypatch.setattr(arith, "smallest_prime_factors", sieve)
+    series.shintani_Z(2.0, 2.0, 30, 41)
+    assert built == [30]
+    for bad in (float("nan"), float("inf"), complex(1, float("-inf"))):
+        with pytest.raises(ValueError, match="must be finite"):
+            series.shintani_Z(bad, 2.0, 30, 41)
+        with pytest.raises(ValueError, match="must be finite"):
+            series.shintani_Z(2.0, bad, 30, 41)
+    assert built == [30]
 
 
 def test_shintani_Z_size_cap():
@@ -300,13 +327,13 @@ def test_shintani_restricted_slice_matches_convolution():
         cr = series.coeffs_rhs(d, amax)
         direct += sum(c * a ** -s for a, c in enumerate(ca, start=1)) * d ** -w
         conv += sum(c * a ** -s for a, c in enumerate(cr, start=1)) * d ** -w
-    assert abs(direct - conv) < 1e-9
+    assert direct == conv
 
 
 def test_wmds_Z_examples():
     assert series.wmds_Z(2.0, 3.0, 1, [5]) == 5.0 ** -3
     two_terms = series.wmds_Z(2.0, 3.0, 2, [5])
-    assert abs(two_terms - (5.0 ** -3 - 2.0 ** -2 * 5.0 ** -3)) < 1e-15
+    assert two_terms == 5.0 ** -3 - 2.0 ** -2 * 5.0 ** -3
     # an empty Dset has no terms: rejected, not summed to 0
     with pytest.raises(ValueError, match="must not be empty"):
         series.wmds_Z(2.0, 3.0, 100, [])
