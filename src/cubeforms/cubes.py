@@ -6,7 +6,6 @@ A cube (a, b, c, d, e, f, g, h) has front face [[a, b], [c, d]] and back
 face [[e, f], [g, h]].
 """
 
-from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
@@ -190,7 +189,15 @@ def invariant_tuple(A):
 
 
 def count_orbits(D, m, n):
-    """B(D, m, n), the number of Borel-triple integral orbits, as a Fraction."""
+    """B(D, m, n), the number of Borel-triple integral orbits, as an int.
+
+    B is a quarter of the sum over d | gcd(m, n) with d^2 | D of
+    d A(D/d^2, 4m/d) A(D/d^2, 4n/d). That sum is a multiple of 4: every
+    term at p = 2 holds two counts A(x, 2^l) with l >= 2, and such a count
+    is even, since x -> -x pairs the roots and its two fixed points 0 and
+    2^(l-1) are roots together or not at all. RuntimeError if 4 does not
+    divide it.
+    """
     _check_mn(m, n)
     if not arith.is_discriminant(D):
         raise ValueError("D must be a discriminant")
@@ -199,40 +206,56 @@ def count_orbits(D, m, n):
     # the test p^2k | D never factors D
     fm = arith.factorize(abs(4 * m))
     fn = arith.factorize(abs(4 * n))
+    sqrt_pp = arith._count_sqrt_pp
     total = 1
-    for p in fm.keys() | fn.keys():
-        i, j = fm.get(p, 0), fn.get(p, 0)
-        local = 0
-        for k in range(min(i, j) - 2 * (p == 2) + 1):
+    for p, i in fm.items():
+        j = fn.get(p, 0)
+        local = sqrt_pp(D, p, i) * sqrt_pp(D, p, j)
+        for k in range(1, min(i, j) - 2 * (p == 2) + 1):
             q = p ** k
             if D % (q * q):
                 break
             x = D // (q * q)
-            local += (q * arith._count_sqrt_pp(x, p, i - k)
-                      * arith._count_sqrt_pp(x, p, j - k))
+            local += q * sqrt_pp(x, p, i - k) * sqrt_pp(x, p, j - k)
+        if local == 0:
+            return 0
         total *= local
-        if total == 0:
-            break
-    return Fraction(total, 4)
+    # a prime of 4n that 4m lacks has the one term k = 0, A(D, p^j)
+    for p, j in fn.items():
+        if p not in fm:
+            local = sqrt_pp(D, p, j)
+            if local == 0:
+                return 0
+            total *= local
+    # raised, not asserted: python -O strips assert statements
+    if total % 4:
+        raise RuntimeError(f"count_orbits: 4 does not divide the local product {total}")
+    return total // 4
 
 
 def solutions_in_window(D, m):
-    """All x in [0, 2|m| - 1] with x^2 = D (mod 4m)."""
-    return [x for x in range(2 * abs(m)) if (x * x - D) % (4 * m) == 0]
-
-
-def _rand_fraction(rng):
-    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    """All x in [0, 2|m| - 1] with x^2 = D (mod 4m); [] for m = 0."""
+    if m == 0:
+        return []
+    M = 4 * abs(m)
+    r = D % M
+    # x^2 = D (mod 4) forces x = D (mod 2)
+    return [x for x in range(D % 2, M // 2, 2) if x * x % M == r]
 
 
 def random_borel_element(rng):
     """Random invertible Borel element, entries p/q with |p| <= 9, 1 <= q <= 9."""
+    # imported here, so that only the Borel suite loads fractions
+    from fractions import Fraction
+
+    def entry():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
     while True:
-        r1, r2 = _rand_fraction(rng), _rand_fraction(rng)
-        s1, s2 = _rand_fraction(rng), _rand_fraction(rng)
-        u1, u2 = _rand_fraction(rng), _rand_fraction(rng)
-        g3 = ((_rand_fraction(rng), _rand_fraction(rng)),
-              (_rand_fraction(rng), _rand_fraction(rng)))
+        r1, r2 = entry(), entry()
+        s1, s2 = entry(), entry()
+        u1, u2 = entry(), entry()
+        g3 = ((entry(), entry()), (entry(), entry()))
         if r1 * s1 != 0 and r2 * s2 != 0 and _det2(g3) != 0:
             return BorelElement(((r1, 0), (u1, s1)), ((r2, 0), (u2, s2)), g3)
 

@@ -1,13 +1,15 @@
 """Reference constructions the tests check the library against: the
 slice matrices of a cube, projectivity read from the three associated
 forms, the 4x4 determinant by the Leibniz formula, the stabilizer order
-of a form, truncated power series as plain lists, and Prop. 2 by whole
-coefficient vectors. The library itself needs none of them."""
+of a form, the orbit count B(D, m, n) as a sum over divisors, truncated
+power series as plain lists, and Prop. 2 by whole coefficient vectors.
+The library itself needs none of them."""
 
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
-from cubeforms import cubes, qforms, series
+from cubeforms import arith, cubes, qforms, series
 
 
 def slices(A):
@@ -54,6 +56,21 @@ def stabilizer_order(Q):
     if D == -4:
         return 2
     return 1
+
+
+def orbit_count_by_divisors(D, m, n):
+    """B(D, m, n) as a Fraction: the sum over d | gcd(D1, m, n) of
+    d A(D/d^2, 4m/d) A(D/d^2, 4n/d), over 4, for D = D0 D1^2 with D0
+    squarefree. It factors D and sums over divisors, where count_orbits
+    takes an Euler product over the primes of 4mn."""
+    D1 = 1
+    for p, e in arith.factorize(abs(D)).items():
+        D1 *= p ** (e // 2)
+    g = gcd(gcd(D1, m), n)
+    total = sum(d * arith.count_sqrt_mod(D // (d * d), abs(4 * m // d))
+                * arith.count_sqrt_mod(D // (d * d), abs(4 * n // d))
+                for d in range(1, g + 1) if g % d == 0)
+    return Fraction(total, 4)
 
 
 # -- truncated power series: lists of the coefficients of q^0 .. q^order ----

@@ -188,6 +188,26 @@ def test_cube_orbits_does_not_factor_the_discriminant(capsys, monkeypatch):
     assert json.loads(out) == {"disc": D, "m": 1, "n": 1, "orbits": 1}
 
 
+def test_orbit_count_not_divisible_by_4_exits_3(capsys, monkeypatch):
+    # with every A(x, 2^l) = 1 the local product is odd: an internal error,
+    # also under python -O
+    real = arith._count_sqrt_pp
+    monkeypatch.setattr(arith, "_count_sqrt_pp",
+                        lambda d, p, l: 1 if p == 2 else real(d, p, l))
+    with pytest.raises(RuntimeError, match="4 does not divide"):
+        cubes.count_orbits(-23, 1, 1)
+    argv = ["cube", "orbits", "--disc", "-23", "--m", "1", "--n", "1"]
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error:") and "4 does not divide" in err
+    assert in_fresh_interpreter(
+        "from cubeforms import arith, cli\n"
+        "real = arith._count_sqrt_pp\n"
+        "arith._count_sqrt_pp = lambda d, p, l: 1 if p == 2 else real(d, p, l)\n"
+        f"print((sys.flags.optimize, cli.run({argv!r})))", "-O") == (1, 3)
+
+
 def test_prop2_does_not_factor_the_discriminant(capsys, monkeypatch):
     # chi_D(p) comes from the p-part of D, so a prime |D| near 10^18 answers at once
     real = arith.factorize
@@ -372,15 +392,16 @@ def test_help_lists_every_command_and_each_bound(capsys):
         assert str(cap) in out.split(), argv
 
 
-def in_fresh_interpreter(code):
+def in_fresh_interpreter(code, *flags):
     """The last line `code` prints, as a Python literal, when it runs in a new
-    interpreter that defines loaded(): the cubeforms modules imported so far."""
+    interpreter, started with `flags`, that defines loaded(): the cubeforms
+    modules imported so far."""
     prelude = ("import sys\n"
                "def loaded():\n"
                "    return sorted(n.split('.')[1] for n in sys.modules\n"
                "                  if n.startswith('cubeforms.'))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run([sys.executable, "-c", prelude + code], env=env,
+    proc = subprocess.run([sys.executable, *flags, "-c", prelude + code], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
     return ast.literal_eval(proc.stdout.splitlines()[-1])
 
@@ -403,6 +424,19 @@ def test_each_command_imports_only_its_own_modules():
         "cli.run(['verify', 'prop2', '--disc', '-23', '--limit', '100'])\n"
         "print((loaded(), 'fractions' not in sys.modules))") == (
             ["arith", "cli", "limits", "report", "series"], True)
+    # cubes imports fractions only to draw a Borel element, so the cube
+    # commands and verify composition load no fractions, decimal or numbers
+    for argv in (["cube", "construct", "--disc", "-23", "--m", "2", "--n", "3",
+                  "--x", "1", "--y", "1"],
+                 ["cube", "invariants", "--cube", "0,1,1,-6,1,-1,-6,0"],
+                 ["cube", "orbits", "--disc", "-23", "--m", "2", "--n", "3"],
+                 ["verify", "composition", "--disc", "-23"]):
+        assert in_fresh_interpreter(
+            "from cubeforms import cli\n"
+            f"code = cli.run({argv!r})\n"
+            "print((code, loaded(), [name for name in ('fractions', 'decimal', 'numbers')\n"
+            "                        if name in sys.modules]))") == (
+                0, ["arith", "cli", "cubes", "limits", "qforms", "report"], []), argv
     assert in_fresh_interpreter(
         "from cubeforms import cli\n"
         "cli.run(['verify', 'nosuch'])\n"

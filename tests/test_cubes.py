@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from cubeforms import arith, cubes, qforms
 from cubeforms.cubes import Cube
@@ -245,7 +247,6 @@ def test_construct_cube_postconditions_small():
                     for y in cubes.solutions_in_window(D, n):
                         A = cubes.construct_cube(D, m, n, x, y)
                         assert A.a == 0
-                        from math import gcd
                         assert gcd(gcd(A.b, A.e), A.f) == 1
                         assert cubes.disc(A) == D
                         assert cubes.qform(A, 1)[:2] == (m, x)
@@ -322,18 +323,43 @@ def test_count_orbits_matches_enumeration():
 
 
 def test_count_orbits_matches_D1_formula():
-    # reference: the sum over d | gcd(D1, m, n) for D = D0 D1^2, D0 squarefree
     for D in (-12, -27, -48, -75, -108, 45, 72, 225, -3 * 4**3 * 5**2):
-        D1 = 1
-        for p, e in arith.factorize(abs(D)).items():
-            D1 *= p ** (e // 2)
         for m in (-12, -6, 1, 2, 3, 5, 10, 20, 60):
             for n in (-15, -4, 1, 2, 6, 30, 40):
-                g = gcd(gcd(D1, m), n)
-                want = sum(d * arith.count_sqrt_mod(D // (d * d), abs(4 * m // d))
-                           * arith.count_sqrt_mod(D // (d * d), abs(4 * n // d))
-                           for d in range(1, abs(g) + 1) if g % d == 0)
-                assert cubes.count_orbits(D, m, n) == Fraction(want, 4)
+                assert cubes.count_orbits(D, m, n) == oracles.orbit_count_by_divisors(D, m, n)
+
+
+@st.composite
+def orbit_triples(draw):
+    # D = D0 f^2 with D0 = 0 or 1 (mod 4), so non-fundamental D of both
+    # parities; m and n share a factor c, which often meets f
+    D0 = 4 * draw(st.integers(-2500, 2500)) + draw(st.sampled_from((0, 1)))
+    assume(D0 != 0)
+    f, c = draw(st.integers(1, 40)), draw(st.integers(1, 60))
+    m, n = (c * draw(st.integers(-10 ** 4 // c, 10 ** 4 // c).filter(bool))
+            for _ in range(2))
+    return D0 * f * f, m, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(orbit_triples())
+@example((-3 * 4 ** 3 * 5 ** 2, 60, -40))
+@example((-4 * 9 ** 2 * 7 ** 2, 2 * 3 ** 3 * 7, -(2 ** 3) * 3 ** 2 * 7 ** 2))
+@example((5 * 2 ** 8, 2 ** 6, 2 ** 7))
+def test_count_orbits_is_the_integer_divisor_sum(triple):
+    D, m, n = triple
+    got = cubes.count_orbits(D, m, n)
+    assert type(got) is int
+    assert got == oracles.orbit_count_by_divisors(D, m, n)
+
+
+def test_solutions_in_window_edges():
+    assert cubes.solutions_in_window(-23, 0) == []
+    for D in range(-50, 51):
+        for m in range(1, 13):
+            want = [x for x in range(2 * m) if (x * x - D) % (4 * m) == 0]
+            assert cubes.solutions_in_window(D, m) == want, (D, m)
+            assert cubes.solutions_in_window(D, -m) == want, (D, -m)
 
 
 def test_verify_composition_law():
