@@ -90,22 +90,6 @@ def primes_upto(N):
     return [2, *compress(range(1, N + 1, 2), sieve)]
 
 
-def smallest_prime_factors(N):
-    """Table spf of length N + 1 with spf[n] the smallest prime factor of n
-    for 2 <= n <= N (spf[0] = 0, spf[1] = 1). Walking n -> n // spf[n]
-    factors every n <= N."""
-    spf = [0] * (N + 1)
-    if N >= 1:
-        spf[1] = 1
-    for p in primes_upto(N):
-        spf[p] = p
-    # the composites, largest prime first, so that the smallest prime
-    # dividing n writes last
-    for p in reversed(primes_upto(isqrt(N))):
-        spf[p * p::p] = [p] * ((N - p * p) // p + 1)
-    return spf
-
-
 def valuation(n, p):
     """Largest e with p^e | n (n != 0)."""
     e = 0

@@ -16,10 +16,6 @@ import sys
 
 
 def _jsonable(v):
-    # a Fraction exists only once fractions is loaded, so it is not imported here
-    fractions = sys.modules.get("fractions")
-    if fractions is not None and isinstance(v, fractions.Fraction):
-        return f"{v.numerator}/{v.denominator}" if v.denominator != 1 else v.numerator
     if isinstance(v, complex):
         return {"re": v.real, "im": v.imag}
     if isinstance(v, dict):

@@ -20,15 +20,15 @@ CASES_CAP = 10 ** 5
 # verify_ptilde2 brute-forces modulo 2^(lmax + 2), so its time doubles per step
 LMAX_CAP = 20
 
-# coeffs_A, coeffs_rhs and zeta wmds build a smallest-prime-factor table of
-# O(N) memory, and a coefficient vector beside it; verify prop2 sieves only
-# the primes, into a bytearray of one byte per odd integer (about 0.5 s and
-# 18 MiB at the cap)
+# every size sieves the primes up to N into a bytearray of one byte per odd
+# integer; coeffs_A, coeffs_rhs and zeta wmds build O(N) coefficient vectors
+# over them (a coeffs_A row about 0.3 s and 38 MiB at the cap), verify prop2
+# none (about 0.35 s and 18 MiB, fresh process)
 N_CAP = 10**6
 
-# shintani_Z builds one smallest-prime-factor table of O(amax) memory, then one
-# row a -> A(+-d, 4a) at a time: at the cap about 0.8 s for 1000 x 1000, 1.4 s
-# and 71 MiB peak RSS for amax = 10^6, and 2.8 s for dmax = 10^6 (fresh process)
+# shintani_Z sieves the primes up to amax once, then builds one row
+# a -> A(+-d, 4a) at a time: at the cap about 0.4 s for 1000 x 1000, 0.6 s and
+# 71 MiB peak RSS for amax = 10^6, and 1.5 s for dmax = 10^6 (fresh process)
 SHINTANI_CAP = 10**6
 
 # verify_local_identities expands each series to this order at most: about

@@ -7,6 +7,7 @@ the Shintani and double Dirichlet series.
 from cmath import isfinite
 from contextlib import contextmanager
 from math import fsum
+from operator import mul
 from typing import NamedTuple
 
 from . import arith
@@ -24,24 +25,26 @@ def _require_size(name, N):
         raise ValueError(f"{name} must be in [1, {N_CAP}]")
 
 
-def _multiplicative(spf, local):
-    # [f(1), ..., f(N)] for N = len(spf) - 1 and the multiplicative f with
-    # f(p^l) = local(p, l): f(m) = f(p^l) f(m / p^l) for p = spf[m], p^l || m
-    N = len(spf) - 1
-    f = [1] * (N + 1)
-    part = [1] * (N + 1)            # part[m] = p^l
-    for m in range(2, N + 1):
-        p = spf[m]
-        q = m // p
-        part[m] = pp = part[q] * p if spf[q] == p else p
-        if pp != m:
-            f[m] = f[pp] * f[m // pp]
-        elif q == 1:                # m = p is prime: fill in p, p^2, ... <= N
-            pl, l = p, 1
-            while pl <= N:
-                f[pl] = local(p, l)
-                pl, l = pl * p, l + 1
-    return f[1:]
+def _multiplicative(primes, f, local):
+    # f[m - 1] *= g(m) for m = 1..N, N = len(f), in place, for the
+    # multiplicative g with g(p^l) = local(p, l) over primes, the primes up to
+    # N. A prime p <= sqrt(N) multiplies its stride m = p, 2p, ... by a factor
+    # list that holds g(p^l) where p^l || m; a larger p divides each of its
+    # multiples once, so g(p) is the whole factor there
+    N = len(f)
+    for p in primes:
+        v = local(p, 1)
+        if p * p <= N:
+            fac = [v] * (N // p)            # fac[j - 1] for m = j p
+            q, l = p, 2
+            while q * p <= N:               # p^l | m at every q-th entry, q = p^(l-1)
+                fac[q - 1::q] = [local(p, l)] * (N // (q * p))
+                q, l = q * p, l + 1
+            f[p - 1::p] = map(mul, f[p - 1::p], fac)
+        elif v != 1:
+            for i in range(p - 1, N, p):
+                f[i] *= v
+    return f
 
 
 def _local_A(D):
@@ -58,19 +61,19 @@ def coeffs_A(D, N):
 
     A(D, a) is multiplicative in the modulus a, so A(D, 4m) is A(D, 2^(l+2))
     for 2^l || m times A(D, p^l) over the odd p^l || m; odd m carry A(D, 4).
-    Built from one smallest-prime-factor table.
+    Built over the primes up to N.
     """
     _require_odd_disc(D)
     _require_size("N", N)
-    return _row_A(arith.smallest_prime_factors(N), D)
+    return _row_A(arith.primes_upto(N), N, D)
 
 
-def _row_A(spf, D):
-    # [A(D, 4m) for m = 1..len(spf) - 1], any integer D: odd m carry A(D, 4)
-    out = _multiplicative(spf, _local_A(D))
-    a4 = arith._count_sqrt_pp(D, 2, 2)
-    out[::2] = [a4 * v for v in out[::2]]
-    return out
+def _row_A(primes, N, D):
+    # [A(D, 4m) for m = 1..N], any integer D, primes the primes up to N: odd
+    # m carry A(D, 4)
+    row = [arith._count_sqrt_pp(D, 2, 2), 1] * (N // 2 + 1)
+    del row[N:]
+    return _multiplicative(primes, row, _local_A(D))
 
 
 def _local_char(D, p):
@@ -114,11 +117,11 @@ def _local_rhs(D):
 def coeffs_rhs(D, N):
     """Coefficients of 2 zeta(s)/zeta(2s) * sum chi_D(m^) a(D, m) m^-s,
     1 <= N <= N_CAP: twice an Euler product (see _local_rhs), built from
-    prime-power values over one smallest-prime-factor table.
+    prime-power values over the primes up to N.
     """
     _require_odd_disc(D)
     _require_size("N", N)
-    return [2 * v for v in _multiplicative(arith.smallest_prime_factors(N), _local_rhs(D))]
+    return _multiplicative(arith.primes_upto(N), [2] * N, _local_rhs(D))
 
 
 def verify_prop2(D, N):
@@ -130,7 +133,7 @@ def verify_prop2(D, N):
     p^l <= N they agree at every m <= N, and the first m where they differ
     is 1 or a prime power. The failure names it with the two vector
     entries there; cases_run is N, every index decided. Only the primes
-    up to N are sieved, with no smallest-prime-factor table.
+    up to N are sieved, and no coefficient vector is built.
     """
     _require_size("N", N)
     _require_odd_disc(D)
@@ -242,12 +245,15 @@ def shintani_Z(s, w, amax, dmax):
         raise ValueError(f"amax * dmax must be at most {SHINTANI_CAP}")
     # fsum is correctly rounded, so the order of the terms does not matter. One
     # row a -> A(±d, 4a) per ±d, none at ±d = 2, 3 (mod 4), which is no square
-    # mod 4; xi1 is summed before the terms of xi2 are built
+    # mod 4; xi1 is summed before the terms of xi2 are built. d^-w is taken
+    # once per row, the same float as once per term
     with _float_sum(s, w):
-        spf = arith.smallest_prime_factors(amax)
-        xi1, xi2 = (_complex_fsum([cnt * a ** (-s) * d ** (-w)
+        primes = arith.primes_upto(amax)
+        xi1, xi2 = (_complex_fsum([cnt * a ** (-s) * dw
                                    for d in range(1, dmax + 1) if sign * d % 4 < 2
-                                   for a, cnt in enumerate(_row_A(spf, sign * d), 1) if cnt])
+                                   for dw in [d ** (-w)]
+                                   for a, cnt in enumerate(_row_A(primes, amax, sign * d), 1)
+                                   if cnt])
                     for sign in (1, -1))
         # fsum of two floats is their sum, checked to be finite
         return TruncatedDoubleSum(s, w, amax, dmax, _complex_fsum([xi1, xi2]), xi1, xi2)
@@ -261,8 +267,9 @@ def wmds_Z(s, w, mmax, Dset):
         raise ValueError("Dset must not be empty")
     for D in Dset:
         _require_odd_disc(D)
-    spf = arith.smallest_prime_factors(mmax)
+    primes = arith.primes_upto(mmax)
     with _float_sum(s, w):
         return _complex_fsum([chi_a * m ** (-s) * abs(D) ** (-w) for D in Dset
-                              for m, chi_a in enumerate(_multiplicative(spf, _chihat_a(D)), 1)
+                              for m, chi_a in enumerate(
+                                  _multiplicative(primes, [1] * mmax, _chihat_a(D)), 1)
                               if chi_a])

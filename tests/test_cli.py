@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from cubeforms import altforms, arith, cli, cubes, limits, series
+from cubeforms import altforms, arith, cli, cubes, limits, localfactors, qforms, series
 
 REPORT_KEYS = ["suite", "status", "cases_run", "first_failure", "elapsed_ms"]
 
@@ -99,15 +99,34 @@ def test_csv_and_json_agree(capsys):
         assert_csv_and_json_agree(capsys, argv, 0)
 
 
-def test_failing_suite_exits_1_with_its_report(capsys, monkeypatch):
-    real = cubes.characters
-    monkeypatch.setattr(cubes, "characters", lambda g: tuple(2 * c for c in real(g)))
-    rec = assert_csv_and_json_agree(capsys, ("verify", "characters", "--cases", "5"), 1)
-    assert list(rec) == REPORT_KEYS
-    assert rec["status"] == "fail"
-    failure = rec["first_failure"]
-    assert list(failure) == ["inputs", "expected", "actual"]
-    assert failure["expected"] != failure["actual"]
+def test_failing_suite_exits_1_with_its_report(capsys):
+    # one wrong library function per verify suite; every failure report is
+    # plain JSON (ints, strings, lists, dicts), the same in JSON and CSV
+    local_rhs, count_sqrt_brute = series._local_rhs, arith.count_sqrt_brute
+    chars, qform_F = cubes.characters, altforms.qform_F
+    failures = (
+        (("verify", "characters", "--cases", "5"), [],
+         cubes, "characters", lambda g: tuple(2 * c for c in chars(g))),
+        (("verify", "fusion", "--cases", "5"), [],
+         altforms, "qform_F", lambda F: qforms.Form(*(c + 1 for c in qform_F(F)))),
+        (("verify", "composition", "--disc", "-23"), ["disc", "class_number", "cube_classes"],
+         qforms, "compose", lambda Q1, Q2: qforms.Form(1, 1, 7)),
+        (("verify", "local", "--order", "15"), [],
+         localfactors, "split_product_form", localfactors.lfactor_ratio_inert),
+        (("verify", "prop2", "--disc", "-23", "--limit", "200"), [],
+         series, "_local_rhs", lambda D: lambda p, l: local_rhs(D)(p, l) + (p == 5)),
+        (("verify", "ptilde2", "--disc", "-23"), ["ratio"],
+         arith, "count_sqrt_brute", lambda d, m: count_sqrt_brute(d, m) + (m == 16)),
+    )
+    for argv, extras, module, name, wrong in failures:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(module, name, wrong)
+            rec = assert_csv_and_json_agree(capsys, argv, 1)
+        assert list(rec) == REPORT_KEYS + extras, argv
+        assert rec["status"] == "fail", argv
+        failure = rec["first_failure"]
+        assert list(failure) == ["inputs", "expected", "actual"], argv
+        assert failure["expected"] != failure["actual"], argv
 
 
 def test_cube_construct(capsys):

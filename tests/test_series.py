@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import fsum
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubeforms import arith, series
@@ -40,30 +40,33 @@ def test_coeffs_A_matches_count_sqrt_mod():
             assert series.coeffs_A(D, N) == want[:N], (D, N)
 
 
-SPF_SIZE = 20000
-SPF = arith.smallest_prime_factors(SPF_SIZE)
-
-
-def test_smallest_prime_factor_table_small_sizes():
-    # spf[0] = 0 and spf[1] = 1 are placeholders, not factors
-    assert [arith.smallest_prime_factors(N) for N in (0, 1, 2, 3)] == [
-        [0], [0, 1], [0, 1, 2], [0, 1, 2, 3]]
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(1, SPF_SIZE))
-def test_smallest_prime_factor_table_factors(n):
+@settings(max_examples=60, deadline=None)
+@example(1, -3, "_local_A")
+@example(16, -1575, "_chihat_a")
+@given(st.integers(1, 20000), st.sampled_from(DISCS),
+       st.sampled_from(("_local_A", "_local_rhs", "_chihat_a")))
+def test_multiplicative_matches_the_factorint_product(N, D, builder):
+    # the Euler-product builder against the product of local(p, l) over
+    # sympy's factorization of each m; local runs once per prime power p^l <= N,
+    # primes and powers in increasing order, and the start vector is multiplied
     import sympy
 
-    table = {}
-    m = n
-    while m > 1:
-        p = SPF[m]
-        table[p] = table.get(p, 0) + 1
-        m //= p
-    assert table == arith.factorize(n) == sympy.factorint(n)
-    # spf[n] is the smallest prime factor, not just one of them
-    assert n == 1 or SPF[n] == min(table)
+    local, calls = getattr(series, builder)(D), []
+
+    def recorded(p, l):
+        calls.append((p, l))
+        return local(p, l)
+
+    got = series._multiplicative(arith.primes_upto(N), list(range(1, N + 1)), recorded)
+    assert calls == [(p, l) for p in sympy.primerange(N + 1)
+                           for l in range(1, N.bit_length()) if p ** l <= N]
+    want = []
+    for m in range(1, N + 1):
+        value = m
+        for p, l in sympy.factorint(m).items():
+            value *= local(p, l)
+        want.append(value)
+    assert got == want
 
 
 def test_coeffs_rhs_examples():
@@ -166,16 +169,18 @@ def test_verify_prop2_names_the_oracles_first_failure(D, N, data):
         assert got == oracles.prop2_entrywise(D, N)
 
 
-def test_verify_prop2_builds_no_smallest_prime_factor_table(monkeypatch):
-    # it sieves the primes up to N only: the report is the oracle's, which
-    # builds both vectors from the table, with the table unavailable
+def test_verify_prop2_builds_no_coefficient_vector(monkeypatch):
+    # it walks the primes up to N only: the report is the oracle's, which
+    # builds both vectors, with the vector builder unavailable
     cases = [(D, 1000) for D in (-23, -255255)]
     want = [oracles.prop2_entrywise(D, N) for D, N in cases]
 
-    def sieve(N):
-        raise AssertionError("verify_prop2 built a smallest-prime-factor table")
+    def build(*args):
+        raise AssertionError("verify_prop2 built a coefficient vector")
 
-    monkeypatch.setattr(arith, "smallest_prime_factors", sieve)
+    monkeypatch.setattr(series, "_multiplicative", build)
+    with pytest.raises(AssertionError, match="built a coefficient vector"):
+        series.coeffs_A(-23, 10)
     assert [_without_elapsed(series.verify_prop2(D, N)) for D, N in cases] == want
 
 
@@ -290,7 +295,7 @@ def test_shintani_Z_sieves_once_and_factors_nothing(monkeypatch):
     def refuse(*args):
         raise AssertionError("factored or counted one pair at a time")
 
-    real, built = arith.smallest_prime_factors, []
+    real, built = arith.primes_upto, []
 
     def sieve(N):
         built.append(N)
@@ -298,7 +303,7 @@ def test_shintani_Z_sieves_once_and_factors_nothing(monkeypatch):
 
     monkeypatch.setattr(arith, "factorize", refuse)
     monkeypatch.setattr(arith, "count_sqrt_mod", refuse)
-    monkeypatch.setattr(arith, "smallest_prime_factors", sieve)
+    monkeypatch.setattr(arith, "primes_upto", sieve)
     series.shintani_Z(2.0, 2.0, 30, 41)
     assert built == [30]
     for bad in (float("nan"), float("inf"), complex(1, float("-inf"))):
@@ -347,9 +352,12 @@ def test_wmds_Z_checks_every_disc_before_the_sieve(monkeypatch):
     def sieve(N):
         raise AssertionError("sieve built before Dset was checked")
 
-    monkeypatch.setattr(arith, "smallest_prime_factors", sieve)
+    monkeypatch.setattr(arith, "primes_upto", sieve)
     with pytest.raises(ValueError, match="odd discriminant"):
         series.wmds_Z(2.0, 3.0, series.N_CAP, [5, 8])
+    # the patched sieve is the one wmds_Z calls
+    with pytest.raises(AssertionError, match="sieve built"):
+        series.wmds_Z(2.0, 3.0, 10, [5])
 
 
 def test_wmds_Z_matches_per_m_sum():
