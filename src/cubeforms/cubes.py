@@ -10,7 +10,7 @@ from math import gcd
 from typing import NamedTuple
 
 from . import arith, qforms
-from .qforms import Form
+from .qforms import Form, solutions_in_window
 from .limits import CASES_CAP, CLASS_CAP, MN_CAP
 from .report import run
 
@@ -231,16 +231,6 @@ def count_orbits(D, m, n):
     if total % 4:
         raise RuntimeError(f"count_orbits: 4 does not divide the local product {total}")
     return total // 4
-
-
-def solutions_in_window(D, m):
-    """All x in [0, 2|m| - 1] with x^2 = D (mod 4m); [] for m = 0."""
-    if m == 0:
-        return []
-    M = 4 * abs(m)
-    r = D % M
-    # x^2 = D (mod 4) forces x = D (mod 2)
-    return [x for x in range(D % 2, M // 2, 2) if x * x % M == r]
 
 
 def random_borel_element(rng):

@@ -3,7 +3,7 @@ caps it checks, and the CLI prints them in its help without importing the
 library. Times are on a 2-core VM.
 """
 
-# enumerate_class_group takes about |D|/3 steps
+# enumerate_class_group: about |D|/6 window tests, 0.95 s at -99999971 (fresh process)
 DISC_CAP = 10 ** 8
 
 # count_orbits factors 4m and 4n by trial division, once each; at

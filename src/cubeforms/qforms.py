@@ -108,9 +108,19 @@ def compose(Q1, Q2):
     return reduce(Form(A, B, C))
 
 
+def solutions_in_window(D, m):
+    """The b of the forms (m, b, .) of discriminant D, one per class mod 2|m|:
+    all x in [0, 2|m| - 1] with x^2 = D (mod 4m); [] for m = 0."""
+    if m == 0:
+        return []
+    M = 4 * abs(m)
+    r = D % M
+    # x^2 = D (mod 4) forces x = D (mod 2)
+    return [x for x in range(D % 2, M // 2, 2) if x * x % M == r]
+
+
 def enumerate_class_group(D):
-    """All reduced primitive forms of negative fundamental discriminant D,
-    |D| <= DISC_CAP."""
+    """The reduced primitive forms of fundamental D < 0, |D| <= DISC_CAP."""
     if D >= 0:
         raise ValueError("only negative discriminants")
     if -D > DISC_CAP:
@@ -119,11 +129,11 @@ def enumerate_class_group(D):
         raise ValueError("only fundamental discriminants")
     out = []
     for a in range(1, isqrt(-D // 3) + 1):
-        # positive b before its negative at the same a (conventional listing)
-        for b in range(a, -a, -1):
-            if (b * b - D) % (4 * a) == 0:
-                c = (b * b - D) // (4 * a)
-                # reduced (a < c, or a = c and b >= 0) and primitive
-                if (a < c or a == c and b >= 0) and gcd(gcd(a, b), c) == 1:
-                    out.append(Form(a, b, c))
+        # b in (-a, a] descending, positive b before its negative (conventional
+        # listing); reduced means a < c, or a = c and b >= 0
+        for b in sorted((x - 2 * a if x > a else x for x in solutions_in_window(D, a)),
+                        reverse=True):
+            c = (b * b - D) // (4 * a)
+            if (a < c or a == c and b >= 0) and gcd(gcd(a, b), c) == 1:
+                out.append(Form(a, b, c))
     return out

@@ -1,13 +1,14 @@
 """Reference constructions the tests check the library against: the
 slice matrices of a cube, projectivity read from the three associated
 forms, the 4x4 determinant by the Leibniz formula, the stabilizer order
-of a form, the orbit count B(D, m, n) as a sum over divisors, truncated
-power series as plain lists, and Prop. 2 by whole coefficient vectors.
+of a form, the reduced forms of a class group by a scan over every b, the
+orbit count B(D, m, n) as a sum over divisors, truncated power series as
+plain lists, and Prop. 2 by whole coefficient vectors.
 The library itself needs none of them."""
 
 from fractions import Fraction
 from itertools import permutations
-from math import gcd
+from math import gcd, isqrt
 
 from cubeforms import arith, cubes, qforms, series
 
@@ -56,6 +57,21 @@ def stabilizer_order(Q):
     if D == -4:
         return 2
     return 1
+
+
+def class_group_by_b_scan(D):
+    """The reduced primitive forms of a negative discriminant D, in
+    enumerate_class_group's order: a ascending, then b descending from a to
+    -a + 1. It tests all 2a values of b against b^2 = D (mod 4a), where the
+    library lists the roots of that congruence only."""
+    out = []
+    for a in range(1, isqrt(-D // 3) + 1):
+        for b in range(a, -a, -1):
+            if (b * b - D) % (4 * a) == 0:
+                c = (b * b - D) // (4 * a)
+                if (a < c or a == c and b >= 0) and gcd(gcd(a, b), c) == 1:
+                    out.append(qforms.Form(a, b, c))
+    return out
 
 
 def orbit_count_by_divisors(D, m, n):

@@ -354,6 +354,8 @@ def test_count_orbits_is_the_integer_divisor_sum(triple):
 
 
 def test_solutions_in_window_edges():
+    # one root window: the cube cells and the class groups call the same function
+    assert cubes.solutions_in_window is qforms.solutions_in_window
     assert cubes.solutions_in_window(-23, 0) == []
     for D in range(-50, 51):
         for m in range(1, 13):

@@ -4,10 +4,11 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import kronecker_symbol
 
 from cubeforms import arith, qforms
 from cubeforms.qforms import Form
-from oracles import stabilizer_order
+from oracles import class_group_by_b_scan, stabilizer_order
 
 GENS = (((1, 1), (0, 1)), ((1, 0), (1, 1)), ((0, 1), (-1, 0)))
 
@@ -183,6 +184,28 @@ def test_enumerate_class_group():
     assert qforms.enumerate_class_group(-3) == [(1, 1, 1)]
     with pytest.raises(ValueError):
         qforms.enumerate_class_group(5)
+
+
+def test_enumerate_class_group_matches_b_scan():
+    # the same forms in the same order: a ascending, then b descending
+    rng = random.Random(27)
+    seeded = []
+    while len(seeded) < 4:
+        D = -rng.randint(10 ** 5, 10 ** 7)
+        if arith.is_fundamental(D):
+            seeded.append(D)
+    for D in [D for D in range(-3, -3001, -1) if arith.is_fundamental(D)] + seeded:
+        assert qforms.enumerate_class_group(D) == class_group_by_b_scan(D), D
+
+
+def test_class_number_formula():
+    # Dirichlet: h(D) = -(w / 2|D|) sum_{0 < a < |D|} a chi_D(a), with w the
+    # number of units, for every fundamental D < 0
+    for D in range(-3, -1001, -1):
+        if arith.is_fundamental(D):
+            w = {-3: 6, -4: 4}.get(D, 2)
+            total = sum(a * kronecker_symbol(D, a) for a in range(1, -D))
+            assert len(qforms.enumerate_class_group(D)) * 2 * -D == -w * total, D
 
 
 def test_stabilizer_order():
