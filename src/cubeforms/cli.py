@@ -4,42 +4,42 @@ Exit codes: 0 success (or verification pass), 1 verification failure,
 2 invalid input, 3 internal error (a library postcondition failed).
 Data goes to stdout (JSON or CSV), diagnostics to stderr.
 
-Each handler imports its library module when it runs, so a process
-compiles only what its command calls: without bytecode caching, what it
-imports is what it compiles. Handlers call the library through module
-attributes, so a function patched on its module is the one that runs.
+One table, COMMANDS, drives the command tree: build_parser makes one leaf
+parser per entry and _call runs it. A leaf imports its library module only
+when it runs, so a process compiles only what its command calls: without
+bytecode caching, what it imports is what it compiles. The call looks the
+library function up on its module, so a function patched there is the one
+that runs. A leaf with a result key prints its flag values in flag order,
+then its result under the key; a leaf without one prints its result, a
+suite report or another record.
 """
 
 import argparse
+import importlib
 import json
 import sys
 
+from . import limits
 
-def _jsonable(v):
-    if isinstance(v, complex):
-        return {"re": v.real, "im": v.imag}
-    if isinstance(v, dict):
-        return {k: _jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    return v
+
+def _complex(z):
+    # json.dumps calls this for what it cannot encode itself
+    if not isinstance(z, complex):
+        raise TypeError(f"{type(z).__name__} is not JSON serializable")
+    return {"re": z.real, "im": z.imag}
 
 
 def _emit(record, fmt):
-    record = _jsonable(record)
     if fmt == "json":
-        print(json.dumps(record))
-    else:
-        import csv
-        import io
+        print(json.dumps(record, default=_complex))
+        return
+    import csv
 
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        keys = list(record)
-        writer.writerow(keys)
-        writer.writerow([json.dumps(record[k]) if isinstance(record[k], (dict, list))
-                         else record[k] for k in keys])
-        sys.stdout.write(buf.getvalue())
+    writer = csv.writer(sys.stdout)
+    writer.writerow(record)
+    writer.writerow([json.dumps(v, default=_complex)
+                     if isinstance(v, (dict, list, tuple, complex)) else v
+                     for v in record.values()])
 
 
 def _int_entry(text, what):
@@ -54,9 +54,7 @@ def _parse_cube(text):
     parts = text.split(",")
     if len(parts) != 8:
         raise argparse.ArgumentTypeError("cube literal needs 8 comma-separated integers")
-    entries = [_int_entry(p, "cube") for p in parts]
-    from . import cubes
-    return cubes.Cube(*entries)
+    return [_int_entry(p, "cube") for p in parts]
 
 
 def _parse_complex(text):
@@ -70,165 +68,109 @@ def _parse_disc_list(text):
     return [_int_entry(p, "discriminant") for p in text.split(",") if p.strip()]
 
 
-# handlers: each takes the parsed args and returns the record to print
-
-def _classnum(a):
-    from . import arith
-    return {"disc": a.disc, "h": arith.class_number(a.disc)}
-
-
-def _sqrtcount(a):
-    from . import arith
-    return {"d": a.d, "mod": a.mod, "count": arith.count_sqrt_mod(a.d, a.mod)}
-
-
-def _construct(a):
-    from . import cubes
+def _construct(cubes, a):
     A = cubes.construct_cube(a.disc, a.m, a.n, a.x, a.y)
-    return {"cube": list(A),
-            "Q1": list(cubes.qform(A, 1)),
-            "Q2": list(cubes.qform(A, 2)),
-            "Q3": list(cubes.qform(A, 3)),
-            "disc": cubes.disc(A)}
+    return {"cube": A, "Q1": cubes.qform(A, 1), "Q2": cubes.qform(A, 2),
+            "Q3": cubes.qform(A, 3), "disc": cubes.disc(A)}
 
 
-def _invariants(a):
-    from . import cubes
-    t = cubes.invariant_tuple(a.cube)
-    return {"disc": t.D, "m": t.m, "n": t.n, "x": t.x, "y": t.y}
+def _invariants(cubes, a):
+    return dict(zip(("disc", "m", "n", "x", "y"), cubes.invariant_tuple(a.cube)))
 
 
-def _orbits(a):
-    from . import cubes
-    return {"disc": a.disc, "m": a.m, "n": a.n,
-            "orbits": cubes.count_orbits(a.disc, a.m, a.n)}
+_GROUPS = {"cube": "cube operations", "verify": "verification suites",
+           "zeta": "truncated double-sum evaluation"}
 
+# flags are (name, type, default, help); a default of None makes the flag required
+_MN = f"nonzero, absolute value at most {limits.MN_CAP}"
+_SHINTANI = f"at least 1, amax * dmax at most {limits.SHINTANI_CAP}"
+_SEEDED = (("seed", int, 0, None), ("cases", int, 10000, f"at most {limits.CASES_CAP}"))
+_S_W = (("s", _parse_complex, None, None), ("w", _parse_complex, None, None))
 
-def _prop2(a):
-    from . import series
-    return series.verify_prop2(a.disc, a.limit)
-
-
-def _ptilde2(a):
-    from . import series
-    return series.verify_ptilde2(a.disc, a.lmax)
-
-
-def _composition(a):
-    from . import cubes
-    return cubes.verify_composition_law(a.disc)
-
-
-def _local(a):
-    from . import localfactors
-    return localfactors.verify_local_identities(order=a.order)
-
-
-def _fusion(a):
-    from . import altforms
-    return altforms.verify_fusion(seed=a.seed, cases=a.cases)
-
-
-def _characters(a):
-    from . import cubes
-    return cubes.verify_characters(seed=a.seed, cases=a.cases)
-
-
-def _shintani(a):
-    from . import series
-    return series.shintani_Z(a.s, a.w, a.amax, a.dmax)._asdict()
-
-
-def _wmds(a):
-    from . import series
-    return {"s": a.s, "w": a.w, "mmax": a.mmax, "dset": a.dset,
-            "value": series.wmds_Z(a.s, a.w, a.mmax, a.dset)}
+# leaf path: (help, module, call(module, args), flags, result key)
+COMMANDS = {
+    ("classnum",): (
+        "class number of a negative fundamental discriminant", "arith",
+        lambda arith, a: arith.class_number(a.disc),
+        (("disc", int, None, f"|disc| at most {limits.DISC_CAP}"),), "h"),
+    ("sqrtcount",): (
+        "A(d, a): solutions of x^2 = d (mod a)", "arith",
+        lambda arith, a: arith.count_sqrt_mod(a.d, a.mod),
+        (("d", int, None, None), ("mod", int, None, None)), "count"),
+    ("cube", "construct"): (
+        None, "cubes", _construct,
+        (("disc", int, None, None), ("m", int, None, _MN), ("n", int, None, _MN),
+         ("x", int, None, None), ("y", int, None, None)), None),
+    ("cube", "invariants"): (
+        None, "cubes", _invariants,
+        (("cube", _parse_cube, None,
+          "a,b,c,d,e,f,g,h (front face row-major, then back face)"),), None),
+    ("cube", "orbits"): (
+        None, "cubes", lambda cubes, a: cubes.count_orbits(a.disc, a.m, a.n),
+        (("disc", int, None, None), ("m", int, None, _MN), ("n", int, None, _MN)), "orbits"),
+    ("verify", "prop2"): (
+        None, "series", lambda series, a: series.verify_prop2(a.disc, a.limit),
+        (("disc", int, None, None),
+         ("limit", int, 5000, f"indices m checked, 1 to {limits.N_CAP}")), None),
+    ("verify", "ptilde2"): (
+        None, "series", lambda series, a: series.verify_ptilde2(a.disc, a.lmax),
+        (("disc", int, None, None),
+         ("lmax", int, 6, f"levels checked modulo 2^(l+2), 0 to {limits.LMAX_CAP}")), None),
+    ("verify", "composition"): (
+        None, "cubes", lambda cubes, a: cubes.verify_composition_law(a.disc),
+        (("disc", int, None, None),), None),
+    ("verify", "local"): (
+        None, "localfactors",
+        lambda localfactors, a: localfactors.verify_local_identities(order=a.order),
+        (("order", int, 40, f"series truncation order, 0 to {limits.ORDER_CAP}"),), None),
+    ("verify", "fusion"): (
+        None, "altforms", lambda altforms, a: altforms.verify_fusion(seed=a.seed, cases=a.cases),
+        _SEEDED, None),
+    ("verify", "characters"): (
+        None, "cubes", lambda cubes, a: cubes.verify_characters(seed=a.seed, cases=a.cases),
+        _SEEDED, None),
+    ("zeta", "shintani"): (
+        None, "series",
+        lambda series, a: series.shintani_Z(a.s, a.w, a.amax, a.dmax)._asdict(),
+        _S_W + (("amax", int, 100, _SHINTANI), ("dmax", int, 100, _SHINTANI)), None),
+    ("zeta", "wmds"): (
+        None, "series", lambda series, a: series.wmds_Z(a.s, a.w, a.mmax, a.dset),
+        _S_W + (("mmax", int, 100, f"largest m summed, 1 to {limits.N_CAP}"),
+                ("dset", _parse_disc_list, None, "comma-separated odd discriminants")), "value"),
+}
 
 
 def build_parser():
-    """The command tree. Each leaf parser sets `run`, its handler."""
-    from . import limits
-
+    """The command tree: one leaf parser per COMMANDS entry, which records
+    its path in `leaf`."""
     ap = argparse.ArgumentParser(
         prog="cubeforms",
         description="Exact computations on quadratic forms, 2x2x2 cubes, "
                     "alternating-form pairs and local L-factors.")
     ap.add_argument("--format", choices=("json", "csv"), default="json")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classnum", help="class number of a negative fundamental discriminant")
-    p.add_argument("--disc", type=int, required=True,
-                   help=f"|disc| at most {limits.DISC_CAP}")
-    p.set_defaults(run=_classnum)
-
-    p = sub.add_parser("sqrtcount", help="A(d, a): solutions of x^2 = d (mod a)")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--mod", type=int, required=True)
-    p.set_defaults(run=_sqrtcount)
-
-    pc = sub.add_parser("cube", help="cube operations")
-    cs = pc.add_subparsers(dest="cube_command", required=True)
-    mn_help = f"nonzero, absolute value at most {limits.MN_CAP}"
-    p = cs.add_parser("construct")
-    for flag in ("--disc", "--m", "--n", "--x", "--y"):
-        p.add_argument(flag, type=int, required=True,
-                       help=mn_help if flag in ("--m", "--n") else None)
-    p.set_defaults(run=_construct)
-    p = cs.add_parser("invariants")
-    p.add_argument("--cube", type=_parse_cube, required=True,
-                   help="a,b,c,d,e,f,g,h (front face row-major, then back face)")
-    p.set_defaults(run=_invariants)
-    p = cs.add_parser("orbits")
-    for flag in ("--disc", "--m", "--n"):
-        p.add_argument(flag, type=int, required=True,
-                       help=mn_help if flag in ("--m", "--n") else None)
-    p.set_defaults(run=_orbits)
-
-    pv = sub.add_parser("verify", help="verification suites")
-    vs = pv.add_subparsers(dest="verify_command", required=True)
-    p = vs.add_parser("prop2")
-    p.add_argument("--disc", type=int, required=True)
-    p.add_argument("--limit", type=int, default=5000,
-                   help=f"indices m checked, 1 to {limits.N_CAP}")
-    p.set_defaults(run=_prop2)
-    p = vs.add_parser("ptilde2")
-    p.add_argument("--disc", type=int, required=True)
-    p.add_argument("--lmax", type=int, default=6,
-                   help=f"levels checked modulo 2^(l+2), 0 to {limits.LMAX_CAP}")
-    p.set_defaults(run=_ptilde2)
-    p = vs.add_parser("composition")
-    p.add_argument("--disc", type=int, required=True)
-    p.set_defaults(run=_composition)
-    p = vs.add_parser("local")
-    p.add_argument("--order", type=int, default=40,
-                   help=f"series truncation order, 0 to {limits.ORDER_CAP}")
-    p.set_defaults(run=_local)
-    for name, handler in (("fusion", _fusion), ("characters", _characters)):
-        p = vs.add_parser(name)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--cases", type=int, default=10000, help=f"at most {limits.CASES_CAP}")
-        p.set_defaults(run=handler)
-
-    pz = sub.add_parser("zeta", help="truncated double-sum evaluation")
-    zs = pz.add_subparsers(dest="zeta_command", required=True)
-    p = zs.add_parser("shintani")
-    p.add_argument("--s", type=_parse_complex, required=True)
-    p.add_argument("--w", type=_parse_complex, required=True)
-    p.add_argument("--amax", type=int, default=100,
-                   help=f"at least 1, amax * dmax at most {limits.SHINTANI_CAP}")
-    p.add_argument("--dmax", type=int, default=100,
-                   help=f"at least 1, amax * dmax at most {limits.SHINTANI_CAP}")
-    p.set_defaults(run=_shintani)
-    p = zs.add_parser("wmds")
-    p.add_argument("--s", type=_parse_complex, required=True)
-    p.add_argument("--w", type=_parse_complex, required=True)
-    p.add_argument("--mmax", type=int, default=100,
-                   help=f"largest m summed, 1 to {limits.N_CAP}")
-    p.add_argument("--dset", type=_parse_disc_list, required=True,
-                   help="comma-separated odd discriminants")
-    p.set_defaults(run=_wmds)
-
+    subparsers = {(): ap.add_subparsers(dest="command", required=True)}
+    for path, (leaf_help, _, _, flags, _) in COMMANDS.items():
+        group = path[:-1]
+        if group not in subparsers:
+            subparsers[group] = subparsers[()].add_parser(
+                group[0], help=_GROUPS[group[0]]).add_subparsers(
+                    dest=group[0] + "_command", required=True)
+        # help=None would still list the leaf, with an empty line, under its group
+        p = subparsers[group].add_parser(path[-1], **({"help": leaf_help} if leaf_help else {}))
+        for name, type_, default, flag_help in flags:
+            p.add_argument("--" + name, type=type_, default=default,
+                           required=default is None, help=flag_help)
+        p.set_defaults(leaf=path)
     return ap
+
+
+def _call(args):
+    """The record of the leaf that `args` names."""
+    _, module, call, flags, key = COMMANDS[args.leaf]
+    result = call(importlib.import_module("." + module, __package__), args)
+    if key is None:
+        return result
+    return {**{name: getattr(args, name) for name, *_ in flags}, key: result}
 
 
 def run(argv=None):
@@ -238,7 +180,7 @@ def run(argv=None):
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        record = args.run(args)
+        record = _call(args)
         _emit(record, args.format)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

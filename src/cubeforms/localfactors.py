@@ -118,33 +118,26 @@ def local_A_integral(D, p, alpha, lmax):
     return _ratio([num], [[1, 0, 1], [v, -u], [u, -v]], lmax)
 
 
-# The L-factors' denominators at a = u/v: L_p(1/2, pi_E) is 1/[(1-aq)(1-q/a)]^2
-# at a split place and 1/[(1-a^2 q^2)(1-q^2/a^2)] at an inert one, and
-# L_p(1, Ad) is 1/[(1-a^2 q^2)(1-q^2)(1-q^2/a^2)].
-def _split_den(u, v):
-    return [[v, -u]] * 2 + [[u, -v]] * 2
-
-
-def _inert_den(u, v):
-    return [[v * v, 0, -u * u], [u * u, 0, -v * v]]
-
-
-def _adjoint_den(u, v):
-    return [[v * v, 0, -u * u], [1, 0, -1], [u * u, 0, -v * v]]
+def _lfactor_ratio(alpha, eta, order):
+    """zeta_p(2) L_p(1/2, pi_E) / (L_p(1, eta) L_p(1, Ad)) at a = u/v, where
+    zeta_p(2) is 1/(1-q^4), L_p(1, eta) is 1/(1-eta q^2), L_p(1, Ad) is
+    1/[(1-a^2 q^2)(1-q^2)(1-q^2/a^2)] and L_p(1/2, pi_E) is
+    1/[(1-aq)(1-eta aq)(1-q/a)(1-eta q/a)]: eta = 1 at a split place,
+    -1 at an inert one."""
+    u, v = _check_alpha(alpha)
+    return _ratio([[1, 0, -eta], [v * v, 0, -u * u], [1, 0, -1], [u * u, 0, -v * v]],
+                  [[1, 0, 0, 0, -1], [v * v, -(1 + eta) * u * v, eta * u * u],
+                   [u * u, -(1 + eta) * u * v, eta * v * v]], order)
 
 
 def lfactor_ratio_split(alpha, order):
     """(1-q^2)/(1-q^4) * L_p(1/2, pi_E) / L_p(1, Ad), split base change."""
-    u, v = _check_alpha(alpha)
-    return _ratio([[1, 0, -1]] + _adjoint_den(u, v),
-                  [[1, 0, 0, 0, -1]] + _split_den(u, v), order)
+    return _lfactor_ratio(alpha, 1, order)
 
 
 def lfactor_ratio_inert(alpha, order):
     """(1+q^2)/(1-q^4) * L_p(1/2, pi_E) / L_p(1, Ad); identically 1."""
-    u, v = _check_alpha(alpha)
-    return _ratio([[1, 0, 1]] + _adjoint_den(u, v),
-                  [[1, 0, 0, 0, -1]] + _inert_den(u, v), order)
+    return _lfactor_ratio(alpha, -1, order)
 
 
 def split_product_form(alpha, order):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import takewhile
 from math import fsum
 from pathlib import Path
 
@@ -97,6 +98,44 @@ def assert_csv_and_json_agree(capsys, argv, want_code):
 def test_csv_and_json_agree(capsys):
     for argv in LEAVES:
         assert_csv_and_json_agree(capsys, argv, 0)
+
+
+def test_every_command_has_a_test_argv():
+    # so that no command skips test_csv_and_json_agree
+    assert set(cli.COMMANDS) == {tuple(takewhile(lambda w: not w.startswith("--"), argv))
+                                 for argv in LEAVES}
+
+
+def _complex_json(z):
+    return {"re": z.real, "im": z.imag}
+
+
+# the whole record of each non-suite leaf of LEAVES, keys in order: the CSV
+# header is that order. Keyed commands print their inputs, then their result.
+# The zeta sums are floats from complex powers, so they come from the library
+SHINTANI = series.shintani_Z(1.5 + 2j, 2, 5, 7)
+RECORDS = {
+    "classnum": {"disc": -23, "h": 3},
+    "sqrtcount": {"d": 5, "mod": 4, "count": 2},
+    "cube construct": {"cube": [0, 1, 1, -6, 1, -1, -6, 0], "Q1": [1, 1, 6], "Q2": [1, 1, 6],
+                       "Q3": [1, 11, 36], "disc": -23},
+    "cube invariants": {"disc": -23, "m": 1, "n": 1, "x": 1, "y": 1},
+    "cube orbits": {"disc": -23, "m": 2, "n": 3, "orbits": 4},
+    "zeta shintani": {"s": {"re": 1.5, "im": 2.0}, "w": {"re": 2.0, "im": 0.0},
+                      "amax": 5, "dmax": 7, "value": _complex_json(SHINTANI.value),
+                      "xi1": _complex_json(SHINTANI.xi1), "xi2": _complex_json(SHINTANI.xi2)},
+    "zeta wmds": {"s": {"re": 2.0, "im": 0.0}, "w": {"re": 0.5, "im": -1.0}, "mmax": 10,
+                  "dset": [5, -23],
+                  "value": _complex_json(series.wmds_Z(2, 0.5 - 1j, 10, [5, -23]))},
+}
+
+
+@pytest.mark.parametrize("leaf", RECORDS)
+def test_whole_records_are_pinned(capsys, leaf):
+    argv, = (argv for argv in LEAVES if " ".join(argv).startswith(leaf + " --"))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert list(json.loads(out).items()) == list(RECORDS[leaf].items())
 
 
 def test_failing_suite_exits_1_with_its_report(capsys):
