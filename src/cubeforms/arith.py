@@ -4,6 +4,7 @@ double-Dirichlet-series coefficients, discriminant predicates, class numbers.
 All functions are pure and operate on plain Python integers.
 """
 
+from bisect import bisect_right
 from itertools import compress
 from math import gcd, isqrt
 
@@ -72,13 +73,27 @@ def factorize(n):
     return out
 
 
+# the largest sieve built so far, (N, the primes up to N): rebound whole by
+# primes_upto, never mutated, so a reader sees an old pair or a new one
+_kept = (1, [])
+
+
 def primes_upto(N):
-    """The primes p <= N in increasing order: a sieve of Eratosthenes on a
-    bytearray, one byte per odd integer up to N."""
-    if N < 2:
-        return []
-    # sieve[i] stands for 2i + 1; an odd p crosses out its odd multiples
-    # from p^2 on, which are 2p apart, so p indices apart
+    """The primes p <= N in increasing order, as a new list. The largest
+    sieve built so far is kept, so any N up to it is cut from that list,
+    and only a larger N sieves again."""
+    global _kept
+    top, primes = _kept
+    if N > top:
+        top, primes = _kept = N, _sieve(N)
+    return primes[:bisect_right(primes, N)]
+
+
+def _sieve(N):
+    # the primes up to N >= 2: a sieve of Eratosthenes on a bytearray, one
+    # byte per odd integer up to N. sieve[i] stands for 2i + 1; an odd p
+    # crosses out its odd multiples from p^2 on, which are 2p apart, so p
+    # indices apart
     size = (N + 1) // 2
     sieve = bytearray([1]) * size
     sieve[0] = 0
@@ -190,28 +205,33 @@ def count_sqrt_prime_power(d, p, l):
 
 
 def kronecker(D, n):
-    """Kronecker symbol (D/n)."""
+    """Kronecker symbol (D/n), by binary reciprocity (Cohen, Algorithm 1.4.10)."""
     if n == 0:
         return 1 if D in (1, -1) else 0
-    if D % 2 == 0 and n % 2 == 0:
+    if not (D | n) & 1:
         return 0
     result = 1
     if n < 0:
         n = -n
         if D < 0:
+            result = -1
+    # each run of v twos shifts out at once; (D/2)^v is -1 when v is odd
+    # and D = 3, 5 (mod 8)
+    v = (n & -n).bit_length() - 1
+    if v:
+        n >>= v
+        if v & 1 and D & 7 in (3, 5):
             result = -result
-    while n % 2 == 0:
-        n //= 2
-        if D % 8 in (3, 5):
-            result = -result
-    # now n odd positive: Jacobi symbol with reciprocity
+    # now n odd positive: Jacobi symbol with reciprocity, which flips the
+    # sign when D = n = 3 (mod 4)
     D %= n
     while D:
-        while D % 2 == 0:
-            D //= 2
-            if n % 8 in (3, 5):
+        v = (D & -D).bit_length() - 1
+        if v:
+            D >>= v
+            if v & 1 and n & 7 in (3, 5):
                 result = -result
-        if D % 4 == 3 and n % 4 == 3:
+        if D & n & 2:
             result = -result
         D, n = n % D, D
     return result if n == 1 else 0

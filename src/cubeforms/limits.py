@@ -23,7 +23,9 @@ LMAX_CAP = 20
 # every size sieves the primes up to N into a bytearray of one byte per odd
 # integer; coeffs_A, coeffs_rhs and zeta wmds build O(N) coefficient vectors
 # over them (a coeffs_A row about 0.3 s and 38 MiB at the cap), verify prop2
-# none (about 0.35 s and 18 MiB, fresh process)
+# none (about 0.35 s and 18 MiB, fresh process). arith keeps the largest
+# sieve it has built, so at most the 78 498 primes up to N_CAP stay held for
+# the life of the process
 N_CAP = 10**6
 
 # shintani_Z sieves the primes up to amax once, then builds one row

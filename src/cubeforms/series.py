@@ -48,8 +48,8 @@ def _multiplicative(primes, f, local):
 
 
 def _local_A(D):
-    # local(p, l) for _row_A (coeffs_A, shintani_Z) and verify_prop2: 4m has
-    # two more factors of 2 than m
+    # local(p, l) for _row_A (coeffs_A, shintani_Z): 4m has two more factors
+    # of 2 than m
     def local(p, l):
         return arith._count_sqrt_pp(D, p, l + 2 if p == 2 else l)
 
@@ -106,9 +106,12 @@ def _local_rhs(D):
     # local(p, l) for coeffs_rhs over 2: zeta(s)/zeta(2s) has local factor
     # 1 + p^-s, so the value at p^l is g(p^l) + g(p^(l-1)) for the
     # character-weighted g(m) = chi_D(m^) a(D, m), and g(p^0) = g(1) = 1.
-    # Both terms share one k and one chi
+    # Both terms share one k and one chi; a(D, p^l) = 1 when p does not
+    # divide D, so g(p^l) is chi^l there
     def local(p, l):
         k, chi = _local_char(D, p)
+        if not k:
+            return chi ** l + chi ** (l - 1)
         return _weighted(p, l, k, chi) + _weighted(p, l - 1, k, chi)
 
     return local
@@ -133,7 +136,7 @@ def verify_prop2(D, N):
     p^l <= N they agree at every m <= N, and the first m where they differ
     is 1 or a prime power. The failure names it with the two vector
     entries there; cases_run is N, every index decided. Only the primes
-    up to N are sieved, and no coefficient vector is built.
+    up to N are walked, and no coefficient vector is built.
     """
     _require_size("N", N)
     _require_odd_disc(D)
@@ -142,14 +145,16 @@ def verify_prop2(D, N):
         a4 = arith._count_sqrt_pp(D, 2, 2)
         # the smallest differing m so far (N + 1 for none) and its two entries
         m, lhs, rhs = (1, a4, 2) if a4 != 2 else (N + 1, None, None)
-        local_A, local_rhs = _local_A(D), _local_rhs(D)
+        local_rhs = _local_rhs(D)
         for p in arith.primes_upto(N):
             if p >= m:
                 break
-            carry = 1 if p == 2 else a4      # odd m carry A(D, 4)
+            # odd m carry A(D, 4); 4m has two more factors of 2 than m
+            carry, shift = (1, 2) if p == 2 else (a4, 0)
             pl, l = p, 1
             while pl < m:
-                left, right = carry * local_A(p, l), 2 * local_rhs(p, l)
+                left = carry * arith._count_sqrt_pp(D, p, l + shift)
+                right = 2 * local_rhs(p, l)
                 if left != right:
                     m, lhs, rhs = pl, left, right
                 pl, l = pl * p, l + 1

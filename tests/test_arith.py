@@ -5,6 +5,7 @@ import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy.external.ntheory import kronecker as kronecker_int
 from sympy.functions.combinatorial.numbers import kronecker_symbol
 from sympy.ntheory.residue_ntheory import sqrt_mod
 
@@ -112,6 +113,15 @@ def test_kronecker_matches_sympy(D, n):
     assert arith.kronecker(D, -abs(n)) == kronecker_symbol(D, -abs(n))
 
 
+def test_kronecker_matches_the_integer_oracle_on_a_grid():
+    # sympy's integer routine, which rejects a common factor by gcd before
+    # its Jacobi loop; the grid holds n = 0, negative n, D and n both even,
+    # powers of two and D = +-1
+    grid = range(-200, 201)
+    assert [arith.kronecker(D, n) for D in grid for n in grid] \
+        == [kronecker_int(D, n) for D in grid for n in grid]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, arith.TRIAL_BOUND ** 2 - 1))
 @example(arith.TRIAL_BOUND ** 2 - 1)                      # 1999999 * 2000001
@@ -160,7 +170,10 @@ def test_primes_upto_matches_sympy(N):
     assert arith.primes_upto(N) == list(sympy.primerange(N + 1))
 
 
-def test_primes_upto_edges():
+def test_primes_upto_edges(monkeypatch):
+    # from an empty kept sieve every N below is larger than the last, so
+    # each one is sieved afresh
+    monkeypatch.setattr(arith, "_kept", (1, []))
     want = {0: [], 1: [], 2: [2], 3: [2, 3], 4: [2, 3], 9: [2, 3, 5, 7]}
     for N, primes in want.items():
         assert arith.primes_upto(N) == primes, N
@@ -175,6 +188,26 @@ def test_primes_upto_edges():
             assert primes == list(sympy.primerange(N + 1)), N
             assert primes[-1] == sympy.prevprime(N + 1), N
     assert len(arith.primes_upto(10 ** 6)) == 78498
+
+
+def test_primes_upto_cuts_from_the_kept_sieve(monkeypatch):
+    # a smaller N after a larger one is cut from the kept list, and only a
+    # larger N sieves again; every answer is a new list, so mutating one
+    # leaves the next call's result alone
+    real, built = arith._sieve, []
+
+    def sieve(N):
+        built.append(N)
+        return real(N)
+
+    monkeypatch.setattr(arith, "_kept", (1, []))
+    monkeypatch.setattr(arith, "_sieve", sieve)
+    for N in (0, 1, 2, 3, 10, 16000, 2000, 2, 17, 16001, 10 ** 5, 97):
+        primes = arith.primes_upto(N)
+        assert primes == list(sympy.primerange(N + 1)), N
+        primes.append(-1)
+        primes[:1] = []
+    assert built == [2, 3, 10, 16000, 16001, 10 ** 5]
 
 
 @settings(max_examples=300, deadline=None)

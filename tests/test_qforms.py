@@ -4,7 +4,7 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import kronecker_symbol
+from sympy.external.ntheory import kronecker
 
 from cubeforms import arith, qforms
 from cubeforms.qforms import Form
@@ -200,11 +200,12 @@ def test_enumerate_class_group_matches_b_scan():
 
 def test_class_number_formula():
     # Dirichlet: h(D) = -(w / 2|D|) sum_{0 < a < |D|} a chi_D(a), with w the
-    # number of units, for every fundamental D < 0
+    # number of units, for every fundamental D < 0. chi_D is sympy's integer
+    # Kronecker routine, the one under its symbolic kronecker_symbol
     for D in range(-3, -1001, -1):
         if arith.is_fundamental(D):
             w = {-3: 6, -4: 4}.get(D, 2)
-            total = sum(a * kronecker_symbol(D, a) for a in range(1, -D))
+            total = sum(a * kronecker(D, a) for a in range(1, -D))
             assert len(qforms.enumerate_class_group(D)) * 2 * -D == -w * total, D
 
 
