@@ -30,10 +30,10 @@ N_CAP = 10**6
 
 # shintani_Z sieves the primes up to amax once, then builds one row
 # a -> A(+-d, 4a) at a time: at the cap about 0.4 s for 1000 x 1000, 0.6 s and
-# 71 MiB peak RSS for amax = 10^6, and 1.5 s for dmax = 10^6 (fresh process)
+# 39 MiB peak RSS for amax = 10^6, and 1.5 s for dmax = 10^6 (fresh process)
 SHINTANI_CAP = 10**6
 
 # verify_local_identities expands each series to this order at most: about
-# 0.4 s at the cap (median of 10 runs, Python 3.11), and the cost grows
+# 0.19 s at the cap (median of 10 fresh processes, Python 3.11), and the cost grows
 # faster than the order
 ORDER_CAP = 1000

@@ -2,11 +2,15 @@
 the formal variable q (semantics q = p^(-1/2)): the Macdonald spherical
 function, congruence-count weighted local integrals, and the split/inert
 base-change over adjoint L-factor ratios.
+
+Each series keeps the integers of poly.expand_scaled, so the identities
+are decided by integer cross-multiplication; the Fraction coefficients
+are built only when `.coeffs` is first read.
 """
 
 from fractions import Fraction
 from functools import reduce
-from math import prod
+from math import lcm, prod
 
 from . import arith, poly
 from .limits import ORDER_CAP
@@ -15,15 +19,39 @@ from .report import run
 
 class TruncatedSeries:
     """What every local function returns: the exact rational coefficients of
-    q^0 .. q^order. Products and inverses of units truncate to `order`."""
+    q^0 .. q^order. Products and inverses of units truncate to `order`.
 
-    __slots__ = ("order", "coeffs")
+    It is kept as poly.expand_scaled returns it: coefficient k is
+    ys[k] / base^(k+1)."""
+
+    __slots__ = ("order", "_ys", "_base", "_coeffs")
 
     def __init__(self, coeffs, order):
+        # ints or Fractions, padded with zeros and truncated to q^order;
+        # base is the lcm of their denominators
+        coeffs = coeffs[: order + 1]
+        base = lcm(*(c.denominator for c in coeffs))
+        ys = [c.numerator * (base // c.denominator) * base ** k
+              for k, c in enumerate(coeffs)]
+        self._set(ys + [0] * (order + 1 - len(ys)), base, order)
+
+    @classmethod
+    def _from_scaled(cls, scaled, order):
+        """The series of poly.expand_scaled(num, den, order)."""
+        self = cls.__new__(cls)
+        self._set(*scaled, order)
+        return self
+
+    def _set(self, ys, base, order):
         if order < 0:
             raise ValueError("order must be non-negative")
-        self.order = order
-        self.coeffs = coeffs[: order + 1] + [Fraction(0)] * (order + 1 - len(coeffs))
+        self.order, self._ys, self._base, self._coeffs = order, ys, base, None
+
+    @property
+    def coeffs(self):
+        if self._coeffs is None:
+            self._coeffs = poly.unscale(self._ys, self._base)
+        return self._coeffs
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -36,12 +64,22 @@ class TruncatedSeries:
         return TruncatedSeries(poly.expand([1], self.coeffs, self.order), self.order)
 
     def is_constant(self, value):
-        return self.coeffs[0] == value and all(c == 0 for c in self.coeffs[1:])
+        return self._ys[0] == value * self._base and not any(self._ys[1:])
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        if self.order != other.order:
+            return False
+        # y / b^(k+1) == y' / b'^(k+1) exactly when y b'^(k+1) == y' b^(k+1)
+        b, b_other = self._base, other._base
+        power, power_other = b, b_other
+        for y, y_other in zip(self._ys, other._ys):
+            if y * power_other != y_other * power:
+                return False
+            power *= b
+            power_other *= b_other
+        return True
 
     def __repr__(self):
         return f"TruncatedSeries({self.coeffs!r}, order={self.order})"
@@ -55,8 +93,9 @@ def _ratio(num, den, order):
     which divides out their common content."""
     n0 = prod(f[0] for f in num)
     d0 = prod(f[0] for f in den)
-    return TruncatedSeries(poly.expand(reduce(poly.mul, num, [d0]),
-                                       reduce(poly.mul, den, [n0]), order), order)
+    return TruncatedSeries._from_scaled(
+        poly.expand_scaled(reduce(poly.mul, num, [d0]), reduce(poly.mul, den, [n0]), order),
+        order)
 
 
 def _check_alpha(alpha):
@@ -84,7 +123,8 @@ def macdonald(alpha, p, n, order=None):
     p0 = u ** (2 * n + 2) - v ** (2 * n + 2)
     p2 = u * u * v ** (2 * n) - u ** (2 * n) * v * v
     w = (u * u - v * v) * (u * v) ** n
-    return TruncatedSeries(poly.expand([0] * n + [p0, 0, p2], [w, 0, w], order), order)
+    return TruncatedSeries._from_scaled(
+        poly.expand_scaled([0] * n + [p0, 0, p2], [w, 0, w], order), order)
 
 
 def local_A_integral(D, p, alpha, lmax):

@@ -4,10 +4,12 @@ zeta(s)/zeta(2s) identity, its exact coefficient-wise verification, the
 the Shintani and double Dirichlet series.
 """
 
+from array import array
 from cmath import isfinite
 from contextlib import contextmanager
+from itertools import chain, islice
 from math import fsum
-from operator import mul
+from operator import attrgetter, mul
 from typing import NamedTuple
 
 from . import arith
@@ -218,10 +220,25 @@ class TruncatedDoubleSum(NamedTuple):
     xi2: complex
 
 
+_REAL, _IMAG = attrgetter("real"), attrgetter("imag")
+
+
+def _real_parts(terms, imag):
+    # one map over the real parts of each 4096 terms, while their imaginary
+    # parts go to the float array imag
+    terms = iter(terms)
+    while chunk := list(islice(terms, 4096)):
+        imag.fromlist(list(map(_IMAG, chunk)))
+        yield map(_REAL, chunk)
+
+
 def _complex_fsum(terms):
-    # correctly rounded: math.fsum over the real and the imaginary parts
+    # correctly rounded: math.fsum over the real and the imaginary parts. fsum
+    # takes the real parts as the terms come, and only the imaginary parts
+    # wait, 8 bytes a term rather than a complex in a list
+    imag = array("d")
     try:
-        out = complex(fsum(t.real for t in terms), fsum(t.imag for t in terms))
+        out = complex(fsum(chain.from_iterable(_real_parts(terms, imag))), fsum(imag))
     except ValueError:
         # fsum refuses an inf and a -inf term, which overflowing products make
         out = complex("nan")
@@ -250,15 +267,16 @@ def shintani_Z(s, w, amax, dmax):
         raise ValueError(f"amax * dmax must be at most {SHINTANI_CAP}")
     # fsum is correctly rounded, so the order of the terms does not matter. One
     # row a -> A(±d, 4a) per ±d, none at ±d = 2, 3 (mod 4), which is no square
-    # mod 4; xi1 is summed before the terms of xi2 are built. d^-w is taken
-    # once per row, the same float as once per term
+    # mod 4; xi1 is summed before the terms of xi2 are built. -s is taken once
+    # and d^-w once per row, the same floats as once per term
     with _float_sum(s, w):
         primes = arith.primes_upto(amax)
-        xi1, xi2 = (_complex_fsum([cnt * a ** (-s) * dw
-                                   for d in range(1, dmax + 1) if sign * d % 4 < 2
-                                   for dw in [d ** (-w)]
-                                   for a, cnt in enumerate(_row_A(primes, amax, sign * d), 1)
-                                   if cnt])
+        minus_s = -s
+        xi1, xi2 = (_complex_fsum(cnt * a ** minus_s * dw
+                                  for d in range(1, dmax + 1) if sign * d % 4 < 2
+                                  for dw in [d ** (-w)]
+                                  for a, cnt in enumerate(_row_A(primes, amax, sign * d), 1)
+                                  if cnt)
                     for sign in (1, -1))
         # fsum of two floats is their sum, checked to be finite
         return TruncatedDoubleSum(s, w, amax, dmax, _complex_fsum([xi1, xi2]), xi1, xi2)
@@ -273,8 +291,11 @@ def wmds_Z(s, w, mmax, Dset):
     for D in Dset:
         _require_odd_disc(D)
     primes = arith.primes_upto(mmax)
+    # -s is taken once and |D|^-w once per D, the same floats as once per term
     with _float_sum(s, w):
-        return _complex_fsum([chi_a * m ** (-s) * abs(D) ** (-w) for D in Dset
-                              for m, chi_a in enumerate(
-                                  _multiplicative(primes, [1] * mmax, _chihat_a(D)), 1)
-                              if chi_a])
+        minus_s = -s
+        return _complex_fsum(chi_a * m ** minus_s * dw for D in Dset
+                             for dw in [abs(D) ** (-w)]
+                             for m, chi_a in enumerate(
+                                 _multiplicative(primes, [1] * mmax, _chihat_a(D)), 1)
+                             if chi_a)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -68,6 +69,52 @@ class TestTruncatedSeries:
     def test_order_mismatch_rejected(self):
         with pytest.raises(ValueError, match="orders differ"):
             series([1], 3) * series([1], 4)
+
+
+ORDER = 6
+small_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+def _form(coeffs, multiplier):
+    # the same values as TruncatedSeries holds them, coefficient k being
+    # ys[k] / base^(k+1), over base = multiplier * lcm of the denominators
+    base = multiplier * lcm(*(c.denominator for c in coeffs))
+    ys = [int(c * base ** (k + 1)) for k, c in enumerate(coeffs)]
+    return lf.TruncatedSeries._from_scaled((ys, base), len(coeffs) - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(small_fractions, min_size=ORDER + 1, max_size=ORDER + 1),
+       st.lists(small_fractions, min_size=ORDER + 1, max_size=ORDER + 1),
+       st.sampled_from((1, -1, 3, -7, 60)), st.sampled_from((1, -1, 2, -5)),
+       st.integers(0, ORDER), st.sampled_from(("same", "last", "other")),
+       st.sampled_from((0, 1, F(-3, 4))))
+def test_integer_forms_decide_like_fraction_lists(a, b, m, m_other, cut, kind, c):
+    # b is a copy of a, a copy changed only at q^ORDER, or other values;
+    # a negative multiplier gives a negative base, as a negative alpha does
+    if kind == "same":
+        b = list(a)
+    elif kind == "last":
+        b = a[:-1] + [a[-1] + 1]
+    x, y = _form(a, m), _form(b, m_other)
+    assert x.coeffs == a and y.coeffs == b
+    assert (x == y) is (a == b)
+    assert (x != y) is (a != b)
+    assert x.is_constant(c) is (a == [c] + [0] * ORDER)
+    constant = [c] + [F(0)] * ORDER
+    assert _form(constant, m).is_constant(c)
+    off = list(constant)
+    off[max(cut, 1)] = a[0] or 1        # one nonzero term past q^0
+    assert not _form(off, m).is_constant(c)
+    assert (_form(constant, m) == x) is (a == constant)
+    # the public constructor pads and truncates, and keeps every value
+    for given_coeffs in (a[:cut], a + b):
+        want = (given_coeffs + [0] * (ORDER + 1))[:ORDER + 1]
+        s = lf.TruncatedSeries(given_coeffs, ORDER)
+        assert s.coeffs == want
+        assert all(type(v) is Fraction for v in s.coeffs)
+        assert (s == x) is (want == a)
+        assert s == _form(want, m_other)
 
 
 def test_macdonald_n0_is_one():
@@ -292,3 +339,25 @@ def test_verify_local_identities_stops_at_first_failure(monkeypatch):
     fail = rep["first_failure"]
     assert list(fail) == ["inputs", "expected", "actual"]
     assert fail["inputs"] == {"alpha": "5", "order": 10}
+
+
+@pytest.mark.parametrize("n", [0, 1, 12, 40])
+def test_verify_local_identities_decides_q_to_the_order(monkeypatch, n):
+    # a middle series off from the true one at q^n only: the suite must see
+    # it at order n, and at order n - 1 it is truncated away
+    real = lf.split_product_form
+
+    def off_at_n(alpha, order):
+        coeffs = real(alpha, max(order, n)).coeffs[:]
+        coeffs[n] += 1
+        return lf.TruncatedSeries(coeffs, order)
+
+    monkeypatch.setattr(lf, "split_product_form", off_at_n)
+    rep = lf.verify_local_identities(order=n)
+    assert rep["status"] == "fail"
+    assert rep["cases_run"] == 1
+    assert rep["first_failure"]["inputs"] == {"alpha": "2", "order": n}
+    if n:
+        rep = lf.verify_local_identities(order=n - 1)
+        assert rep["status"] == "pass"
+        assert rep["cases_run"] == 4

@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubeforms import poly
+from oracles import inverse, mul
 
 
 def _random_poly(rng, length):
@@ -77,3 +80,26 @@ def test_expand_rejects_zero_constant_term():
     with pytest.raises(ValueError):
         poly.expand([1], [0, 1], 3)
 
+
+coefficients = st.one_of(st.integers(-10**6, 10**6),
+                         st.fractions(min_value=-10**3, max_value=10**3, max_denominator=10**3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(coefficients, min_size=1, max_size=6),
+       st.lists(coefficients, min_size=1, max_size=6),
+       st.integers(0, 12), st.booleans())
+def test_expand_scaled_is_the_integer_form_of_expand(num, den, order, negative):
+    # den[0] < 0 gives a negative base; Fraction entries make the core clear
+    # denominators first
+    den[0] = (-1 if negative else 1) * (abs(den[0]) or 1)
+    ys, base = poly.expand_scaled(num, den, order)
+    assert len(ys) == order + 1
+    assert all(type(y) is int for y in ys) and type(base) is int and base != 0
+    got = [Fraction(y, base ** (k + 1)) for k, y in enumerate(ys)]
+    assert got == poly.expand(num, den, order)
+
+    def padded(p):
+        return ([Fraction(c) for c in p] + [Fraction(0)] * (order + 1))[:order + 1]
+
+    assert got == mul(padded(num), inverse(padded(den)))
